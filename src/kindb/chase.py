@@ -25,10 +25,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import MonoidMismatch, UnsupportedMonoid
+from .errors import InvalidConfig, MonoidMismatch, UnsupportedMonoid
 from .ind import IND, format_ind, ind_sort_key, validate_ind
 from .kdb import STAR, KDatabase, Row, Schema, adom, make_database
-from .monoid import BOOLEAN, NATURALS, Element, MonoidSpec
+from .monoid import BOOLEAN, Element, MonoidSpec
 
 KIND_RULE_STAR = "rule_star"
 KIND_PLUS_RULE = "plus_rule"
@@ -40,13 +40,10 @@ OUTCOME_STEP_LIMIT = "step_limit_exceeded"
 @dataclass(frozen=True)
 class ChaseConfig:
     step_limit: int = 10_000
-    scheduler: str = "round_robin"
 
     def __post_init__(self) -> None:
         if self.step_limit < 1:
-            raise ValueError("step limit must be at least 1")
-        if self.scheduler != "round_robin":
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
+            raise InvalidConfig(f"step limit must be at least 1, got {self.step_limit}")
 
 
 @dataclass(frozen=True)
@@ -77,19 +74,14 @@ def star_padded(layout: tuple[str, ...], attrs: tuple[str, ...], witness: Row) -
     return tuple(values.get(a, STAR) for a in layout)
 
 
-def canonical_start_classical(tau: IND, schema: Schema) -> KDatabase:
+def canonical_start(tau: IND, schema: Schema, monoid: MonoidSpec) -> KDatabase:
     """Single-tuple start for ``tau``: the i-th left-hand attribute holds the
-    constant str(i+1), everything else holds the star."""
+    constant str(i+1), everything else holds the star.  The tuple weighs 1,
+    which must be an element of ``monoid`` (boolean for the classical chase,
+    the naturals for the additive one)."""
     witness = tuple(str(i + 1) for i in range(tau.arity))
     row = star_padded(schema.attributes(tau.lhs_rel), tau.lhs_attrs, witness)
-    return make_database(schema, BOOLEAN, {tau.lhs_rel: {row: 1}})
-
-
-def canonical_start_plus(tau: IND, schema: Schema) -> KDatabase:
-    """As the classical start, annotated over the naturals with weight 1."""
-    witness = tuple(str(i + 1) for i in range(tau.arity))
-    row = star_padded(schema.attributes(tau.lhs_rel), tau.lhs_attrs, witness)
-    return make_database(schema, NATURALS, {tau.lhs_rel: {row: 1}})
+    return make_database(schema, monoid, {tau.lhs_rel: {row: 1}})
 
 
 def _positions(schema: Schema, sigma: IND) -> tuple[tuple[int, ...], tuple[int, ...]]:

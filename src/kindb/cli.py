@@ -20,8 +20,7 @@ from typing import Optional
 from .chase import (
     ChaseConfig,
     OUTCOME_TERMINATED,
-    canonical_start_classical,
-    canonical_start_plus,
+    canonical_start,
     classical_chase,
     plus_chase,
     trace_to_json,
@@ -31,7 +30,7 @@ from .errors import ChaseBudgetExceeded, KindbError
 from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
 from .kdb import KDatabase, load_database_file
-from .monoid import parse_monoid, table_from_dict
+from .monoid import BOOLEAN, NATURALS, parse_monoid, table_from_dict
 from .oracle import brute_force_balanced_entails, brute_force_entails
 
 EXIT_YES = 0
@@ -121,8 +120,7 @@ def cmd_chase(args) -> int:
     if args.start.startswith("canonical:"):
         tau = parse_ind(args.start[len("canonical:"):])
         schema = infer_schema(sorted(set(sigma) | {tau}, key=format_ind))
-        start = (canonical_start_plus(tau, schema) if args.plus
-                 else canonical_start_classical(tau, schema))
+        start = canonical_start(tau, schema, NATURALS if args.plus else BOOLEAN)
     else:
         start = load_database_file(args.start)
     if args.plus:

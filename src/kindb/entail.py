@@ -5,9 +5,21 @@ sound and complete, and entailment coincides with satisfaction of the query
 dependency in the additive chase of its canonical start by the weak-symmetry
 closure of the assumptions.  For a weakly absorptive monoid, the standard
 rules alone are sound and complete, and the classical chase decides.  Each
-negative answer carries a countermodel built by the matching construction
-and re-verified before it is returned; each positive answer carries a
-checked derivation.
+positive answer carries a checked derivation.  Each negative answer carries
+a countermodel, re-verified before it is returned.  The constructions are:
+
+* ``plus_chase_embedding``: the additive chase result, each count n
+  re-weighted to n*b for a nonzero b (weakly cancellative monoids);
+* ``sa_embedding``: the classical chase result with every tuple weighted by
+  a nonzero idempotent (weakly absorptive monoids; every one this package
+  can represent has such an element);
+* ``ca_stratified``: the classical chase result weighted a_{n - degree}
+  along a caller-supplied absorption chain a_0..a_n that is not constant
+  (``build_countermodel_ca``; a constant chain gives ``sa_embedding``).
+
+``decide_entailment`` returns the first two.  ``build_countermodel_wc`` and
+``build_countermodel_ca`` build all three from a caller-supplied generator
+or chain.
 
 Entailment over balanced databases reduces to the unrestricted problem by
 augmenting the assumptions with every arity-0 dependency between relations
@@ -22,33 +34,25 @@ from typing import Iterable, Optional
 from .errors import (
     ChaseBudgetExceeded,
     CountermodelError,
-    DominanceFailure,
     ElementError,
     InvalidChain,
-    InvalidPair,
     NoCountermodel,
-    NotEventuallyPeriodic,
     UnclassifiedMonoid,
     UnsupportedMonoid,
 )
-from .chase import (
-    ChaseConfig,
-    canonical_start_classical,
-    canonical_start_plus,
-    classical_chase,
-    plus_chase,
-)
+from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
 from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
 from .infer import (
     RULE_AXIOM,
     RULE_BALANCE,
+    RULE_REFLEXIVITY,
     DerivationProof,
     RuleSystem,
-    derives,
+    check_proof,
     proof_to_json,
     saturate,
 )
-from .kdb import KDatabase, Schema, db_add, degree, dump_database, is_balanced, make_database
+from .kdb import KDatabase, Schema, degree, dump_database, is_balanced, make_database
 from .monoid import (
     BOOLEAN,
     Element,
@@ -56,8 +60,6 @@ from .monoid import (
     NATURALS,
     PropertyReport,
     embed_naturals,
-    find_eventual_period,
-    find_wa_pair,
 )
 
 METHOD_PLUS_CHASE = "plus_chase"
@@ -67,8 +69,6 @@ METHOD_BALANCED = "balanced_augmentation"
 CONSTRUCTION_WC_EMBED = "plus_chase_embedding"
 CONSTRUCTION_SA = "sa_embedding"
 CONSTRUCTION_CA = "ca_stratified"
-CONSTRUCTION_WA_CASE1 = "wa_case1"
-CONSTRUCTION_WA_CASE2 = "wa_case2"
 
 
 @dataclass
@@ -136,6 +136,32 @@ def _verify(db: KDatabase, sigma: Iterable[IND], tau: IND, balanced: bool) -> bo
             and (not balanced or is_balanced(db)))
 
 
+def _plus_chased(tau: IND, schema: Schema, closed: Iterable[IND],
+                 cfg: ChaseConfig) -> KDatabase:
+    """The additive chase of the canonical start by a weak-symmetry-closed
+    set, which terminates."""
+    trace = plus_chase(canonical_start(tau, schema, NATURALS), closed, cfg)
+    if not trace.terminated:
+        raise ChaseBudgetExceeded(
+            "additive chase exceeded its budget on a weak-symmetry-closed set")
+    return trace.result
+
+
+def _embed(counts: KDatabase, m: MonoidSpec, b: Element) -> KDatabase:
+    """Re-weight each count n of a naturals-annotated database to n*b."""
+    return make_database(counts.schema, m, {
+        rel: {row: embed_naturals(m, b, n) for row, n in kr.weights.items()}
+        for rel, kr in counts.relations.items()})
+
+
+def _stratify(chased: KDatabase, m: MonoidSpec, chain: list[Element],
+              n: int) -> KDatabase:
+    """Weight each tuple of a classical chase result a_{n - degree}."""
+    return make_database(chased.schema, m, {
+        rel: {row: chain[n - degree(row)] for row in kr.weights}
+        for rel, kr in chased.relations.items()})
+
+
 def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
                       balanced: bool = False,
                       config: Optional[ChaseConfig] = None,
@@ -145,7 +171,9 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     annotated in ``m`` (optionally restricted to balanced databases).
 
     Dispatch follows the monoid's property report; pass ``report`` to
-    override the declared classification of a builtin.
+    override the declared classification of a builtin.  One saturation and
+    one chase of the canonical start serve the verdict, the proof and the
+    countermodel; the two must agree on ``tau``.
     """
     sigma = set(sigma)
     cfg = config or ChaseConfig()
@@ -167,62 +195,44 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
 
     balance_added = balance_instances(sigma, tau) - sigma if balanced else set()
     sigma_star = sigma | balance_added
+    wc = report.weakly_cancellative
     method = METHOD_BALANCED if balanced else (
-        METHOD_PLUS_CHASE if report.weakly_cancellative else METHOD_CLASSICAL_CHASE)
+        METHOD_PLUS_CHASE if wc else METHOD_CLASSICAL_CHASE)
 
-    if report.weakly_cancellative:
-        closed = saturate(sigma_star, RuleSystem.STANDARD_WS, schema)
-        trace = plus_chase(canonical_start_plus(tau, schema), closed, cfg)
-        if not trace.terminated:
-            raise ChaseBudgetExceeded(
-                "additive chase exceeded its budget on a weak-symmetry-closed set")
-        entailed = satisfies(trace.result, tau)
-        proof_system = RuleSystem.STANDARD_WS
+    proofs = saturate(sigma_star, RuleSystem.STANDARD_WS if wc else RuleSystem.STANDARD,
+                      schema)
+    if wc:
+        chased = _plus_chased(tau, schema, proofs, cfg)
     else:
-        closed = saturate(sigma_star, RuleSystem.STANDARD, schema)
-        result, _ = classical_chase(canonical_start_classical(tau, schema), closed)
-        entailed = satisfies(result, tau)
-        proof_system = RuleSystem.STANDARD
+        chased, _ = classical_chase(canonical_start(tau, schema, BOOLEAN), proofs)
+    derivable = tau.is_reflexive or tau in proofs
+    if satisfies(chased, tau) != derivable:
+        raise CountermodelError(
+            f"chase and saturation disagree on {format_ind(tau)}")
 
-    if entailed:
-        ok, proof = derives(sigma_star, tau, proof_system, schema)
-        if not ok:
-            raise CountermodelError(
-                f"chase and saturation disagree on {format_ind(tau)}")
+    if derivable:
+        proof = proofs.get(tau) or DerivationProof(RULE_REFLEXIVITY, tau)
+        check_proof(proof, sigma_star)
         if balance_added:
             proof = _relabel_balance(proof, balance_added)
         return EntailmentVerdict(True, method, proof=proof)
 
-    if report.weakly_cancellative:
-        cm = build_countermodel_wc(sigma_star, tau, m, m.some_nonzero(),
-                                   config=cfg, schema=schema)
+    if wc:
+        b = m.some_nonzero()
+        cm = Countermodel(_embed(chased, m, b), CONSTRUCTION_WC_EMBED, {"generator": b})
     else:
-        cm = _wa_countermodel(sigma_star, tau, m, cfg, schema)
+        idem = m.nonzero_idempotent()
+        if idem is None:
+            raise UnsupportedMonoid(
+                f"no countermodel construction applies to {m.name}: "
+                "it has no nonzero idempotent")
+        chain = [idem] * (tau.arity + 1)
+        cm = Countermodel(_stratify(chased, m, chain, tau.arity),
+                          CONSTRUCTION_SA, {"chain": chain})
     if not _verify(cm.database, sigma, tau, balanced):
         raise CountermodelError(
             f"countermodel failed verification for {format_ind(tau)}")
     return EntailmentVerdict(False, method, countermodel=cm)
-
-
-def _wa_countermodel(sigma_star: set[IND], tau: IND, m: MonoidSpec,
-                     cfg: ChaseConfig, schema: Schema) -> Countermodel:
-    idem = m.nonzero_idempotent()
-    if idem is not None:
-        chain = [idem] * (tau.arity + 1)
-        return build_countermodel_ca(sigma_star, tau, m, chain, schema=schema)
-    # Weakly absorptive without a nonzero idempotent: impossible for the
-    # finite and builtin carriers this package can represent, but the two
-    # constructions below stay available for direct use.
-    pair = find_wa_pair(m)
-    if pair is None:
-        raise UnsupportedMonoid(
-            f"no countermodel construction applies to {m.name}")
-    a, b = pair
-    try:
-        return build_countermodel_wa_case2(sigma_star, tau, m, b, schema=schema)
-    except (NotEventuallyPeriodic, UnsupportedMonoid):
-        return build_countermodel_wa_case1(sigma_star, tau, m, a, b,
-                                           config=cfg, schema=schema)
 
 
 def build_countermodel_wc(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
@@ -233,24 +243,16 @@ def build_countermodel_wc(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     the canonical start, with each count n re-weighted to the n-fold sum of
     the nonzero generator ``b``."""
     sigma = set(sigma)
-    cfg = config or ChaseConfig()
     if schema is None:
         schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
     b = m.check(b)
     if b == m.zero:
         raise ElementError("the embedding generator must be nonzero")
-    closed = saturate(sigma, RuleSystem.STANDARD_WS, schema)
-    trace = plus_chase(canonical_start_plus(tau, schema), closed, cfg)
-    if not trace.terminated:
-        raise ChaseBudgetExceeded(
-            "additive chase exceeded its budget on a weak-symmetry-closed set")
-    if satisfies(trace.result, tau):
+    chased = _plus_chased(tau, schema, saturate(sigma, RuleSystem.STANDARD_WS, schema),
+                          config or ChaseConfig())
+    if satisfies(chased, tau):
         raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-    weights = {
-        rel: {row: embed_naturals(m, b, n) for row, n in kr.weights.items()}
-        for rel, kr in trace.result.relations.items()
-    }
-    db = make_database(schema, m, weights)
+    db = _embed(chased, m, b)
     if not _verify(db, sigma, tau, balanced=False):
         raise CountermodelError("embedded chase result failed verification")
     return Countermodel(db, CONSTRUCTION_WC_EMBED, {"generator": b})
@@ -276,126 +278,12 @@ def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
             raise InvalidChain(
                 f"{m.format_element(lo)} + {m.format_element(hi)} "
                 f"!= {m.format_element(hi)}")
-    result, _ = classical_chase(canonical_start_classical(tau, schema),
+    result, _ = classical_chase(canonical_start(tau, schema, BOOLEAN),
                                 sorted(sigma, key=format_ind))
     if satisfies(result, tau):
         raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-    weights = {
-        rel: {row: chain[n - degree(row)] for row in kr.weights}
-        for rel, kr in result.relations.items()
-    }
-    db = make_database(schema, m, weights)
+    db = _stratify(result, m, chain, n)
     if not _verify(db, sigma, tau, balanced=False):
         raise CountermodelError("stratified chase weighting failed verification")
     construction = CONSTRUCTION_SA if len(set(chain)) == 1 else CONSTRUCTION_CA
     return Countermodel(db, construction, {"chain": chain})
-
-
-def _check_wa_pair(m: MonoidSpec, a: Element, b: Element) -> tuple[Element, Element]:
-    a, b = m.check(a), m.check(b)
-    if a == m.zero or b == m.zero:
-        raise InvalidPair("both pair members must be nonzero")
-    if m.add(a, b) != b:
-        raise InvalidPair(
-            f"{m.format_element(a)} + {m.format_element(b)} != {m.format_element(b)}")
-    if m.is_finite:
-        for c in m.elements():
-            if m.add(b, c) == c:
-                raise InvalidPair(
-                    f"{m.format_element(b)} is absorbed by {m.format_element(c)}")
-    return a, b
-
-
-def build_countermodel_wa_case1(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
-                                a: Element, b: Element,
-                                config: Optional[ChaseConfig] = None,
-                                schema: Optional[Schema] = None) -> Countermodel:
-    """Countermodel for a weakly absorptive target along an unbounded
-    generator tail.
-
-    The classically chased canonical start is split by degree: full-degree
-    tuples keep the absorbed weight ``a``; the lower-degree part is chased
-    classically and then additively under the weak-symmetry closure, with
-    counts carried over to multiples of ``b``.  The sum of the two parts is
-    verified and returned.
-    """
-    sigma = set(sigma)
-    cfg = config or ChaseConfig()
-    if schema is None:
-        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
-    a, b = _check_wa_pair(m, a, b)
-
-    closed_standard = saturate(sigma, RuleSystem.STANDARD, schema)
-    chased, _ = classical_chase(canonical_start_classical(tau, schema), closed_standard)
-    if satisfies(chased, tau):
-        raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-
-    n = tau.arity
-    full = {rel: {row for row in kr.weights if degree(row) == n}
-            for rel, kr in chased.relations.items()}
-    lower = {rel: {row for row in kr.weights if degree(row) < n}
-             for rel, kr in chased.relations.items()}
-
-    closed_ws = saturate(sigma, RuleSystem.STANDARD_WS, schema)
-    lower_db = make_database(schema, BOOLEAN,
-                             {rel: {row: 1 for row in rows} for rel, rows in lower.items()})
-    lower_closed, _ = classical_chase(lower_db, closed_ws)
-    counts = make_database(schema, NATURALS,
-                           {rel: {row: 1 for row in kr.weights}
-                            for rel, kr in lower_closed.relations.items()})
-    trace = plus_chase(counts, closed_ws, cfg)
-    if not trace.terminated:
-        raise ChaseBudgetExceeded(
-            "additive chase exceeded its budget on a weak-symmetry-closed set")
-
-    part_a = make_database(schema, m,
-                           {rel: {row: a for row in rows} for rel, rows in full.items()})
-    part_b = make_database(schema, m,
-                           {rel: {row: embed_naturals(m, b, k) for row, k in kr.weights.items()}
-                            for rel, kr in trace.result.relations.items()})
-    db = db_add(part_a, part_b)
-    if not _verify(db, sigma, tau, balanced=False):
-        raise CountermodelError("degree-split construction failed verification")
-    return Countermodel(db, CONSTRUCTION_WA_CASE1, {"a": a, "b": b})
-
-
-def build_countermodel_wa_case2(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
-                                b: Element,
-                                schema: Optional[Schema] = None) -> Countermodel:
-    """Countermodel along an eventually periodic generator tail.
-
-    With index*b = (index+period)*b, the element d = index*b dominates every
-    multiple of ``b``; full-degree tuples of the chased canonical start get
-    weight ``b`` and lower-degree tuples get ``d``.  Verification is always
-    attempted and its outcome recorded on the returned countermodel.
-    """
-    sigma = set(sigma)
-    if schema is None:
-        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
-    b = m.check(b)
-    if b == m.zero:
-        raise ElementError("the generator must be nonzero")
-    try:
-        index, period = find_eventual_period(m, b)
-    except UnsupportedMonoid as exc:
-        raise NotEventuallyPeriodic(str(exc)) from exc
-    d = embed_naturals(m, b, index)
-    for k in range(index + period):
-        c = embed_naturals(m, b, k)
-        if not m.leq(c, d):
-            raise DominanceFailure(
-                f"{m.format_element(c)} is not below {m.format_element(d)}")
-
-    closed_standard = saturate(sigma, RuleSystem.STANDARD, schema)
-    chased, _ = classical_chase(canonical_start_classical(tau, schema), closed_standard)
-    if satisfies(chased, tau):
-        raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-
-    n = tau.arity
-    weights = {
-        rel: {row: (b if degree(row) == n else d) for row in kr.weights}
-        for rel, kr in chased.relations.items()
-    }
-    db = make_database(schema, m, weights)
-    verified = _verify(db, sigma, tau, balanced=False)
-    return Countermodel(db, CONSTRUCTION_WA_CASE2, {"b": b, "d": d}, verified=verified)

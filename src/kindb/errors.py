@@ -90,6 +90,10 @@ class UnclassifiedMonoid(KindbError):
     pass
 
 
+class InvalidConfig(KindbError):
+    """A chase setting is out of range."""
+
+
 class ChaseBudgetExceeded(KindbError):
     """The additive chase hit its step limit in a context where termination
     is guaranteed; this signals an internal defect, not bad input."""
@@ -100,18 +104,6 @@ class NoCountermodel(KindbError):
 
 
 class InvalidChain(KindbError):
-    pass
-
-
-class InvalidPair(KindbError):
-    pass
-
-
-class NotEventuallyPeriodic(KindbError):
-    pass
-
-
-class DominanceFailure(KindbError):
     pass
 
 

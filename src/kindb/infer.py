@@ -177,10 +177,12 @@ def _closure(sigma: Iterable[IND], system: RuleSystem,
 
 
 def saturate(sigma: Iterable[IND], system: RuleSystem,
-             schema: Schema) -> tuple[IND, ...]:
+             schema: Schema) -> dict[IND, DerivationProof]:
     """All derivable non-reflexive dependencies in the finite universe, plus
-    the arity-0 reflexivity seeds, in canonical order."""
-    return tuple(sorted(_closure(sigma, system, schema), key=ind_sort_key))
+    the arity-0 reflexivity seeds, in canonical order, each mapped to its
+    derivation."""
+    proofs = _closure(sigma, system, schema)
+    return {ind: proofs[ind] for ind in sorted(proofs, key=ind_sort_key)}
 
 
 def derives(sigma: Iterable[IND], tau: IND, system: RuleSystem,

@@ -150,16 +150,6 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
     return KRelation(attrs, out)
 
 
-def marginal_at(rel: KRelation, positions: tuple[int, ...], point: Row,
-                m: MonoidSpec) -> Element:
-    """Weight of one marginal point, by direct summation."""
-    total = m.zero
-    for row, w in rel.weights.items():
-        if all(row[i] == v for i, v in zip(positions, point)):
-            total = m.add(total, w)
-    return total
-
-
 def support(db: KDatabase) -> KDatabase:
     """The boolean-weighted database of nonzero rows."""
     return make_database(
@@ -217,19 +207,27 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
         raise ParseError("database document must be a JSON object")
     try:
         monoid = parse_monoid(obj["monoid"])
-        schema = schema_of(obj["schema"])
+        raw_schema = obj["schema"]
     except KeyError as exc:
         raise ParseError(f"database document is missing {exc}") from None
+    if not isinstance(raw_schema, dict) or not all(
+            isinstance(attrs, list) and all(isinstance(a, str) for a in attrs)
+            for attrs in raw_schema.values()):
+        raise ParseError('"schema" must map each relation to a list of attribute names')
+    schema = schema_of(raw_schema)
+    relations = obj.get("relations", {})
+    if not isinstance(relations, dict) or not all(
+            isinstance(rows, list) for rows in relations.values()):
+        raise ParseError('"relations" must map each relation to a list of rows')
     weights: dict[str, dict[Row, Element]] = {}
-    for rel, rows in (obj.get("relations") or {}).items():
+    for rel, rows in relations.items():
         attrs = schema.attributes(rel)
         rel_weights: dict[Row, Element] = {}
         for entry in rows:
-            try:
-                mapping = entry["tuple"]
-                raw_weight = entry["weight"]
-            except (KeyError, TypeError):
-                raise ParseError(f"malformed row entry in relation {rel}: {entry!r}") from None
+            mapping = entry.get("tuple") if isinstance(entry, dict) else None
+            if not isinstance(mapping, dict) or "weight" not in entry:
+                raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
+            raw_weight = entry["weight"]
             if set(mapping) != set(attrs):
                 raise ParseError(
                     f"row for {rel} must assign exactly the attributes {list(attrs)}")

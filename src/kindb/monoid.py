@@ -19,7 +19,6 @@ and are validated exhaustively.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -623,59 +622,8 @@ def _classify_finite(m: MonoidSpec, k_bound: int) -> PropertyReport:
 
 # -- module-level operation surface -------------------------------------------
 
-def add(m: MonoidSpec, a: Element, b: Element) -> Element:
-    return m.add(a, b)
-
-
-def natural_leq(m: MonoidSpec, a: Element, b: Element) -> bool:
-    return m.leq(a, b)
-
-
-def monus(m: MonoidSpec, a: Element, b: Element) -> Element:
-    return m.monus(a, b)
-
-
 def classify(m: MonoidSpec, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
     return m.classify(k_bound)
-
-
-def find_wa_pair(m: MonoidSpec) -> Optional[tuple[Element, Element]]:
-    """First nonzero pair (a, b) with a + b = b and no c absorbed by b.
-
-    Pairs are scanned in carrier order, so the result is deterministic.
-    Only finite carriers are searched.
-    """
-    if not m.is_finite:
-        raise UnsupportedMonoid(f"cannot search the infinite carrier of {m.name}")
-    carrier = list(m.elements())
-    nonzero = [x for x in carrier if x != m.zero]
-    for a, b in itertools.product(nonzero, nonzero):
-        if m.add(a, b) != b:
-            continue
-        if all(m.add(b, c) != c for c in carrier):
-            return (a, b)
-    return None
-
-
-def find_eventual_period(m: MonoidSpec, b: Element) -> tuple[int, int]:
-    """Least (index, period) with index*b = (index+period)*b in the
-    submonoid generated by b."""
-    b = m.check(b)
-    if b == m.zero:
-        raise ElementError("the generator must be nonzero")
-    if m.has_total_wc_order:
-        # multiples of a nonzero element never repeat under weak cancellativity
-        raise UnsupportedMonoid(f"powers of {b!r} never repeat in {m.name}")
-    limit = 10_000
-    seen: dict[Element, int] = {}
-    current = m.zero
-    for k in range(1, limit + 1):
-        current = m.add(current, b)
-        if current in seen:
-            first = seen[current]
-            return (first, k - first)
-        seen[current] = k
-    raise UnsupportedMonoid(f"no repetition among the first {limit} multiples of {b!r}")
 
 
 def embed_naturals(m: MonoidSpec, b: Element, n: int) -> Element:
@@ -726,11 +674,15 @@ def table_from_dict(spec: dict, name: str = "table",
     with every unordered pair present (commutative closure is applied).
     """
     try:
-        elements = list(spec["elements"])
+        elements = spec["elements"]
         zero = spec["zero"]
         raw_op = spec["op"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed monoid table: missing {exc}") from None
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise ParseError('malformed monoid table: "elements" must be a list of names')
+    if not isinstance(raw_op, dict):
+        raise ParseError('malformed monoid table: "op" must map "a,b" to an element')
     op = {}
     for key, value in raw_op.items():
         parts = [p.strip() for p in key.split(",")]
@@ -746,6 +698,8 @@ def parse_monoid(spec: Union[str, dict, MonoidSpec]) -> MonoidSpec:
         return spec
     if isinstance(spec, dict):
         return table_from_dict(spec)
+    if not isinstance(spec, str):
+        raise ParseError(f"a monoid is a name or an operation table, not {spec!r}")
     name = spec.strip()
     if name in _BUILTINS:
         return _BUILTINS[name]

@@ -23,8 +23,7 @@ from helpers import (
 )
 from kindb.chase import (
     ChaseConfig,
-    canonical_start_classical,
-    canonical_start_plus,
+    canonical_start,
     classical_chase,
     plus_chase,
     replay,
@@ -132,7 +131,7 @@ def test_criterion_3_plus_chase_behavior():
         loop = parse_ind("R[B,C] <= R[A,B]")
         back = parse_ind("R[A,B] <= R[B,C]")
 
-        start = canonical_start_plus(loop, schema)
+        start = canonical_start(loop, schema, NATURALS)
         diverging = plus_chase(start, [loop], ChaseConfig(step_limit=10_000))
         assert diverging.outcome == "step_limit_exceeded"
         assert len(diverging.steps) == 10_000
@@ -160,7 +159,7 @@ def test_criterion_4_three_way_equivalence_wc():
             closed_set = frozenset(closed)
             for tau in GRID_TAUS:
                 derivable = tau.is_reflexive or tau in closed_set
-                trace = plus_chase(canonical_start_plus(tau, GRID_SCHEMA), closed, cfg)
+                trace = plus_chase(canonical_start(tau, GRID_SCHEMA, NATURALS), closed, cfg)
                 assert trace.terminated, "chase must terminate on a ws-closed set"
                 assert derivable == satisfies(trace.result, tau), (
                     f"equivalence broke for {format_ind(tau)} under "
@@ -193,7 +192,7 @@ def test_criterion_5_two_way_equivalence_boolean():
             for tau in GRID_TAUS:
                 derivable = tau.is_reflexive or tau in closed_set
                 result, _ = classical_chase(
-                    canonical_start_classical(tau, GRID_SCHEMA), closed)
+                    canonical_start(tau, GRID_SCHEMA, BOOLEAN), closed)
                 assert derivable == satisfies(result, tau)
                 found = brute_force_entails(
                     sig, tau, BOOLEAN, adom=["x", "y"], weight_pool=[0, 1],

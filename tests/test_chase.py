@@ -8,8 +8,7 @@ from kindb.chase import (
     OUTCOME_STEP_LIMIT,
     OUTCOME_TERMINATED,
     applicable,
-    canonical_start_classical,
-    canonical_start_plus,
+    canonical_start,
     classical_chase,
     plus_chase,
     replay,
@@ -36,26 +35,26 @@ LOOP_BACK = parse_ind("R[A,B] <= R[B,C]")
 def test_canonical_start_classical():
     schema = schema_of({"R": ("A", "B", "E"), "S": ("C", "D")})
     tau = parse_ind("R[A,B] <= S[C,D]")
-    db = canonical_start_classical(tau, schema)
+    db = canonical_start(tau, schema, BOOLEAN)
     assert db.relation("R").support() == {("1", "2", STAR)}
     assert db.relation("S").support() == set()
 
     zero = parse_ind("R[] <= S[]")
-    assert canonical_start_classical(zero, schema).relation("R").support() == {(STAR,) * 3}
+    assert canonical_start(zero, schema, BOOLEAN).relation("R").support() == {(STAR,) * 3}
 
     tau2 = parse_ind("R[B,C] <= R[A,B]")
-    db2 = canonical_start_classical(tau2, R3)
+    db2 = canonical_start(tau2, R3, BOOLEAN)
     assert db2.relation("R").support() == {(STAR, "1", "2")}
 
 
 def test_canonical_start_plus():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     assert db.monoid is NATURALS
     assert db.relation("R").weights == {(STAR, "1", "2"): 1}
 
 
 def test_classical_chase_loop_example():
-    db = canonical_start_classical(LOOP, R3)
+    db = canonical_start(LOOP, R3, BOOLEAN)
     result, trace = classical_chase(db, [LOOP])
     assert result.relation("R").support() == {
         (STAR, "1", "2"), ("1", "2", STAR), ("2", STAR, STAR), (STAR, STAR, STAR)}
@@ -67,7 +66,7 @@ def test_classical_chase_loop_example():
 
 
 def test_classical_chase_empty_sigma():
-    db = canonical_start_classical(LOOP, R3)
+    db = canonical_start(LOOP, R3, BOOLEAN)
     result, trace = classical_chase(db, [])
     assert result == db and not trace.steps
     # full-width reflexivity instances repair to the tuple itself
@@ -79,7 +78,7 @@ def test_classical_chase_empty_sigma():
 def test_classical_chase_partial_reflexivity_pads():
     # a narrowed reflexivity instance inserts the star-padded projection;
     # the countermodel constructions rely on these companions
-    db = canonical_start_classical(LOOP, R3)
+    db = canonical_start(LOOP, R3, BOOLEAN)
     refl = IND("R", ("B",), "R", ("B",))
     result, _ = classical_chase(db, [refl])
     assert result.relation("R").support() == {(STAR, "1", "2"), (STAR, "1", STAR)}
@@ -87,11 +86,11 @@ def test_classical_chase_partial_reflexivity_pads():
 
 def test_classical_chase_requires_boolean():
     with pytest.raises(MonoidMismatch):
-        classical_chase(canonical_start_plus(LOOP, R3), [LOOP])
+        classical_chase(canonical_start(LOOP, R3, NATURALS), [LOOP])
 
 
 def test_applicable():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     assert applicable(db, LOOP, ("1", "2"))
     assert not applicable(db, LOOP, ("2", "1"))
     closed = plus_chase(db, [LOOP, LOOP_BACK]).result
@@ -102,7 +101,7 @@ def test_applicable():
 
 
 def test_plus_chase_nonterminating_example_hits_step_limit():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     trace = plus_chase(db, [LOOP], ChaseConfig(step_limit=500))
     assert trace.outcome == OUTCOME_STEP_LIMIT
     assert len(trace.steps) == 500
@@ -110,7 +109,7 @@ def test_plus_chase_nonterminating_example_hits_step_limit():
 
 
 def test_plus_chase_symmetric_closure_terminates():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     trace = plus_chase(db, [LOOP, LOOP_BACK])
     assert trace.outcome == OUTCOME_TERMINATED
     assert satisfies_all(trace.result, [LOOP, LOOP_BACK])
@@ -143,7 +142,7 @@ def test_plus_chase_rejects_non_wc_monoids():
 def test_plus_chase_post_step_marginal_equality():
     # replay the trace, checking after each step that the repaired marginal
     # now equals the pre-step left-hand marginal
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     trace = plus_chase(db, [LOOP, LOOP_BACK])
     assert trace.steps
     m = db.monoid
@@ -163,7 +162,7 @@ def test_plus_chase_post_step_marginal_equality():
 
 
 def test_plus_chase_monotone_weights():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     trace = plus_chase(db, [LOOP], ChaseConfig(step_limit=50))
     for step in trace.steps:
         assert step.delta != 0
@@ -184,7 +183,7 @@ def test_plus_chase_terminates_on_ws_closed_sets():
         sigma = set(rng.sample(pool, rng.randint(0, 3)))
         closed = saturate(sigma, RuleSystem.STANDARD_WS, schema)
         tau = rng.choice(taus)
-        trace = plus_chase(canonical_start_plus(tau, schema), closed)
+        trace = plus_chase(canonical_start(tau, schema, NATURALS), closed)
         assert trace.outcome == OUTCOME_TERMINATED
         assert satisfies_all(trace.result, closed)
 
@@ -209,7 +208,7 @@ def test_plus_chase_over_rationals():
 
 
 def test_replay_is_deterministic_and_bit_exact():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     t1 = plus_chase(db, [LOOP, LOOP_BACK])
     t2 = plus_chase(db, [LOOP, LOOP_BACK])
     assert [s for s in t1.steps] == [s for s in t2.steps]
@@ -222,12 +221,12 @@ def test_star_padded():
 
 
 def test_trace_json_shape():
-    db = canonical_start_plus(LOOP, R3)
+    db = canonical_start(LOOP, R3, NATURALS)
     trace = plus_chase(db, [LOOP, LOOP_BACK])
     doc = trace_to_json(trace)
     assert doc["outcome"] == OUTCOME_TERMINATED
     assert len(doc["steps"]) == len(trace.steps)
     assert all("delta" in s for s in doc["steps"])
-    classical = classical_chase(canonical_start_classical(LOOP, R3), [LOOP])[1]
+    classical = classical_chase(canonical_start(LOOP, R3, BOOLEAN), [LOOP])[1]
     doc2 = trace_to_json(classical)
     assert all("delta" not in s for s in doc2["steps"])

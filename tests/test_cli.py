@@ -50,6 +50,30 @@ def test_check_malformed_json(capsys, tmp_path, workspace):
     assert code == 2 and "error" in err
 
 
+TABLE = {"elements": ["0", "1"], "zero": "0"}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"monoid": "naturals", "schema": ["R"], "relations": {}}, "schema"),
+    ({"monoid": "naturals", "schema": {"R": "AB"}, "relations": {}}, "schema"),
+    ({"monoid": "naturals", "schema": {"R": ["A"]},
+      "relations": [{"tuple": {"A": "a"}, "weight": "1"}]}, "relations"),
+    ({"monoid": {**TABLE, "op": [["0,0", "0"]]}, "schema": {"R": ["A"]},
+      "relations": {}}, "op"),
+    ({"monoid": 5, "schema": {"R": ["A"]}, "relations": {}}, "monoid"),
+    ({"monoid": "naturals", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": ["A"], "weight": "1"}]}}, "tuple"),
+])
+def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps(doc))
+    inds = tmp_path / "inds.txt"
+    inds.write_text("R[A] <= R[A]\n")
+    code, _, err = run(capsys, "check", str(db), str(inds))
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
 def test_entail_weak_symmetry_proof(capsys, workspace):
     code, out, _ = run(capsys, "entail", str(workspace / "ws.txt"),
                        "Grant[proj] <= Budget[proj]", "--monoid", "naturals", "--json")
@@ -88,6 +112,17 @@ def test_chase_plus_step_limit(capsys, workspace):
                        str(workspace / "loop.txt"), "--plus", "--step-limit", "200")
     assert code == 3
     assert "step_limit_exceeded" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("chase", "canonical:R[B,C] <= R[A,B]", "loop.txt", "--plus"),
+    ("entail", "ws.txt", "Grant[proj] <= Budget[proj]"),
+])
+def test_step_limit_zero_is_an_input_error(capsys, workspace, argv):
+    argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]
+    code, _, err = run(capsys, *argv, "--step-limit", "0")
+    assert code == 2
+    assert "step limit" in err
 
 
 def test_chase_plus_terminates_with_trace(capsys, workspace, tmp_path):

@@ -2,28 +2,25 @@ from fractions import Fraction
 
 import pytest
 
+import kindb.entail
 from kindb.errors import (
+    CountermodelError,
     InvalidChain,
-    InvalidPair,
     NoCountermodel,
-    NotEventuallyPeriodic,
     UnsupportedMonoid,
 )
 from kindb.entail import (
     CONSTRUCTION_CA,
     CONSTRUCTION_SA,
-    CONSTRUCTION_WA_CASE1,
-    CONSTRUCTION_WA_CASE2,
     CONSTRUCTION_WC_EMBED,
     balance_instances,
     build_countermodel_ca,
-    build_countermodel_wa_case1,
-    build_countermodel_wa_case2,
     build_countermodel_wc,
     decide_entailment,
 )
 from kindb.ind import parse_ind, satisfies
-from kindb.kdb import degree, is_balanced
+from kindb.infer import DerivationProof
+from kindb.kdb import is_balanced
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
@@ -201,77 +198,6 @@ def test_ca_rejects_derivable_tau():
                               parse_ind("R[A] <= S[B]"), BOOLEAN, [1, 1])
 
 
-def test_wa_case1_trivial_sigma():
-    # empty assumptions: the initial tuple keeps the absorbed weight; the
-    # arity-0 reflexivity seed pads in an all-star companion at one generator
-    tau = parse_ind("S[B] <= R[A]")
-    cm = build_countermodel_wa_case1(set(), tau, MONO23, 3, 2)
-    assert cm.construction == CONSTRUCTION_WA_CASE1
-    assert cm.verified
-    db = cm.database
-    assert db.relation("S").weights == {("1",): 3, ("*",): 2}
-    assert db.relation("R").weights == {}
-    assert not satisfies(db, tau)
-
-
-def test_wa_case1_with_lower_degree_part():
-    sigma = {parse_ind("S[B1] <= R[A1]")}
-    tau = parse_ind("S[B1,B2] <= R[A1,A2]")
-    cm = build_countermodel_wa_case1(sigma, tau, MONO23, 3, 2)
-    assert cm.verified
-    db = cm.database
-    assert db.relation("S").weights[("1", "2")] == 3
-    # the chased companion in R carries one copy of the generator
-    assert db.relation("R").weights[("1", "*")] == 2
-    assert all(satisfies(db, s) for s in sigma)
-    assert not satisfies(db, tau)
-
-
-def test_wa_case1_rejects_bad_pairs():
-    with pytest.raises(InvalidPair):
-        build_countermodel_wa_case1(set(), DICH_TAU, MONO23, 1, 2)  # 1+2 = 3 != 2
-    with pytest.raises(InvalidPair):
-        build_countermodel_wa_case1(set(), DICH_TAU, MONO23, 3, 3)  # 3 absorbed by 3
-    with pytest.raises(InvalidPair):
-        build_countermodel_wa_case1(set(), DICH_TAU, NATURALS, 1, 1)
-    with pytest.raises(InvalidPair):
-        build_countermodel_wa_case1(set(), DICH_TAU, MONO23, 0, 2)
-
-
-def test_wa_case1_rejects_derivable_tau():
-    with pytest.raises(NoCountermodel):
-        build_countermodel_wa_case1({DICH_TAU}, DICH_TAU, MONO23, 3, 2)
-
-
-def test_wa_case2_monogenic():
-    cm = build_countermodel_wa_case2(DICH_SIGMA, DICH_TAU, MONO23, 1)
-    assert cm.construction == CONSTRUCTION_WA_CASE2
-    assert cm.params["b"] == 1 and cm.params["d"] == 2
-    assert cm.verified
-    db = cm.database
-    for rel, kr in db.relations.items():
-        for row, w in kr.weights.items():
-            assert w == (1 if degree(row) == DICH_TAU.arity else 2)
-
-
-def test_wa_case2_boolean_degenerate():
-    cm = build_countermodel_wa_case2(DICH_SIGMA, DICH_TAU, BOOLEAN, 1)
-    assert cm.params["b"] == 1 and cm.params["d"] == 1
-    assert cm.verified
-    assert all(w == 1 for kr in cm.database.relations.values() for w in kr.weights.values())
-
-
-def test_wa_case2_errors():
-    from kindb.errors import ElementError
-
-    with pytest.raises(ElementError):
-        build_countermodel_wa_case2(DICH_SIGMA, DICH_TAU, BOOLEAN, 0)
-    with pytest.raises(NotEventuallyPeriodic):
-        build_countermodel_wa_case2(DICH_SIGMA, DICH_TAU, NATURALS, 1)
-    with pytest.raises(NoCountermodel):
-        build_countermodel_wa_case2({DICH_TAU}, DICH_TAU, MONO23, 1)
-
-
 def test_classification_override():
     wa_report = BOOLEAN.classify()
     # the override drives dispatch: under the absorptive reading the
@@ -302,3 +228,58 @@ def test_verdict_json():
     assert doc2["entailed"] is False
     assert doc2["countermodel"]["verified"] is True
     assert doc2["countermodel"]["construction"] == CONSTRUCTION_SA
+
+
+ONE_PASS_CASES = [
+    ({C2, C4}, C3, NATURALS, False, True),
+    ({parse_ind("R[A] <= S[B]")}, DICH_TAU, NATURALS, False, False),
+    ({C1, C2}, parse_ind("Expense[proj] <= Grant[proj]"), BOOLEAN, False, True),
+    (DICH_SIGMA, DICH_TAU, BOOLEAN, False, False),
+    ({parse_ind("R[A] <= S[B]")}, DICH_TAU, NATURALS, True, True),
+]
+
+
+@pytest.mark.parametrize("sigma,tau,m,balanced,entailed", ONE_PASS_CASES)
+def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, balanced,
+                                                entailed):
+    calls = {"saturate": 0, "chase": 0}
+
+    def spy(name, key):
+        real = getattr(kindb.entail, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(kindb.entail, name, wrapper)
+
+    spy("saturate", "saturate")
+    spy("plus_chase", "chase")
+    spy("classical_chase", "chase")
+    verdict = decide_entailment(sigma, tau, m, balanced=balanced)
+    assert verdict.entailed == entailed
+    assert calls == {"saturate": 1, "chase": 1}
+
+
+def test_closure_and_chase_must_agree(monkeypatch):
+    real_saturate = kindb.entail.saturate
+    # the closure misses a dependency that the chase derives by composition
+    sigma = {parse_ind("R[A] <= S[B]"), parse_ind("S[B] <= T[C]")}
+    tau = parse_ind("R[A] <= T[C]")
+    monkeypatch.setattr(kindb.entail, "saturate", lambda *args: {
+        ind: proof for ind, proof in real_saturate(*args).items() if ind != tau})
+    for m in (NATURALS, BOOLEAN):
+        with pytest.raises(CountermodelError, match="disagree"):
+            decide_entailment(sigma, tau, m)
+
+    # the closure claims a dependency that the chase never derives
+    sigma = {parse_ind("R[A] <= S[B]")}
+    monkeypatch.setattr(kindb.entail, "saturate", lambda *args: {
+        **real_saturate(*args), DICH_TAU: DerivationProof("axiom", DICH_TAU)})
+    for name in ("plus_chase", "classical_chase"):
+        real_chase = getattr(kindb.entail, name)
+        monkeypatch.setattr(kindb.entail, name,
+                            lambda db, deps, *rest, _chase=real_chase: _chase(
+                                db, [d for d in deps if d != DICH_TAU], *rest))
+    for m in (NATURALS, BOOLEAN):
+        with pytest.raises(CountermodelError, match="disagree"):
+            decide_entailment(sigma, DICH_TAU, m)

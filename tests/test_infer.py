@@ -119,7 +119,7 @@ def test_saturate_monotone_and_idempotent():
         closed_small = saturate(small, system, schema)
         closed_big = saturate(big, system, schema)
         assert set(closed_small) <= set(closed_big)
-        assert saturate(closed_big, system, schema) == closed_big
+        assert list(saturate(closed_big, system, schema)) == list(closed_big)
 
 
 def test_saturate_deterministic():

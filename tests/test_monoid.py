@@ -18,8 +18,6 @@ from kindb.monoid import (
     PropertyReport,
     TableMonoid,
     embed_naturals,
-    find_eventual_period,
-    find_wa_pair,
     monogenic,
     parse_monoid,
     table_from_dict,
@@ -142,49 +140,6 @@ def test_property_report_invariants_enforced():
         PropertyReport(True, True, True, False, 0, False, True, True, "declared")
     with pytest.raises(ValueError):
         PropertyReport(True, False, True, True, UNBOUNDED, False, True, True, "declared")
-
-
-def test_find_wa_pair_boolean_none():
-    # the only nonzero candidate b = 1 absorbs itself, violating the second condition
-    assert find_wa_pair(BOOLEAN) is None
-
-
-def test_find_wa_pair_monogenic():
-    # independent exhaustive scan
-    els = list(MONO23.elements())
-    expected = None
-    for a in els:
-        if expected:
-            break
-        for b in els:
-            if a and b and MONO23.add(a, b) == b and all(MONO23.add(b, c) != c for c in els):
-                expected = (a, b)
-                break
-    assert expected == (3, 2)
-    assert find_wa_pair(MONO23) == (3, 2)
-
-
-def test_find_wa_pair_trivial_table_none():
-    trivial = TableMonoid(["0"], {("0", "0"): "0"}, "0")
-    assert find_wa_pair(trivial) is None
-
-
-def test_find_wa_pair_infinite_unsupported():
-    with pytest.raises(UnsupportedMonoid):
-        find_wa_pair(MAX_NATURALS)
-
-
-def test_find_eventual_period():
-    assert find_eventual_period(MONO23, 1) == (2, 3)
-    assert find_eventual_period(BOOLEAN, 1) == (1, 1)
-    assert find_eventual_period(MAX_NATURALS, 4) == (1, 1)
-    assert find_eventual_period(MONO23, 2) == (1, 3)
-    with pytest.raises(UnsupportedMonoid):
-        find_eventual_period(NATURALS, 2)
-    with pytest.raises(UnsupportedMonoid):
-        find_eventual_period(NONNEG_RATIONALS, Fraction(1, 2))
-    with pytest.raises(ElementError):
-        find_eventual_period(BOOLEAN, 0)
 
 
 def test_embed_naturals():
