@@ -26,7 +26,7 @@ from .chase import (
     trace_to_json,
 )
 from .entail import decide_entailment
-from .errors import ChaseBudgetExceeded, KindbError
+from .errors import ChaseBudgetExceeded, KindbError, ParseError
 from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
 from .kdb import KDatabase, load_database_file
@@ -148,23 +148,46 @@ def cmd_classify(args) -> int:
     return EXIT_YES
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# the shape of each oracle config field: a check and what it expects
+ORACLE_FIELDS = {
+    "sigma": (_is_strings, "a list of dependency strings"),
+    "tau": (lambda v: isinstance(v, str), "a dependency string"),
+    "adom": (_is_strings, "a list of constant names"),
+    "weight_pool": (lambda v: isinstance(v, list), "a list of weights"),
+    "max_tuples": (_is_count, "a non-negative integer"),
+    "max_candidates": (_is_count, "a non-negative integer"),
+    "balanced": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def cmd_oracle(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
-    try:
-        m = parse_monoid(config["monoid"])
-        sigma = {parse_ind(t) for t in config["sigma"]}
-        tau = parse_ind(config["tau"])
-        adom = config["adom"]
-        pool = [m.parse_element(str(w)) for w in config["weight_pool"]]
-        max_tuples = int(config["max_tuples"])
-    except KeyError as exc:
-        raise KindbError(f"oracle config is missing {exc}") from None
-    search = (brute_force_balanced_entails if config.get("balanced")
+    if not isinstance(config, dict):
+        raise ParseError("oracle config must be a JSON object")
+    for name in ("monoid", "sigma", "tau", "adom", "weight_pool", "max_tuples"):
+        if name not in config:
+            raise ParseError(f"oracle config is missing {name!r}")
+    for name, (valid, expected) in ORACLE_FIELDS.items():
+        if name in config and not valid(config[name]):
+            raise ParseError(f'oracle config field "{name}" must be {expected}')
+    m = parse_monoid(config["monoid"])
+    sigma = {parse_ind(t) for t in config["sigma"]}
+    tau = parse_ind(config["tau"])
+    pool = [m.parse_element(str(w)) for w in config["weight_pool"]]
+    search = (brute_force_balanced_entails if config.get("balanced", False)
               else brute_force_entails)
-    found = search(sigma, tau, m, adom=adom, weight_pool=pool,
-                   max_tuples=max_tuples,
-                   max_candidates=int(config.get("max_candidates", 2_000_000)))
+    found = search(sigma, tau, m, adom=config["adom"], weight_pool=pool,
+                   max_tuples=config["max_tuples"],
+                   max_candidates=config.get("max_candidates", 2_000_000))
     if found is None:
         _print_json({"counterexample": None})
         return EXIT_YES

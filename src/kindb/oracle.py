@@ -11,10 +11,20 @@ Enumeration order is deterministic: per-relation supports ordered by size
 then lexicographically, weight assignments lexicographically over the sorted
 nonzero pool, so a found counterexample is the least one in this order and
 stable across runs.
+
+The search visits the candidates in that order without building each one.
+For every relation and support it lists the weight assignments once, with
+their marginals on the positions the dependencies read (and their totals,
+when balanced).  It then gives the relations weights one at a time, in name
+order, and checks each dependency as soon as both of its relations have
+weights: a failed assumption, a query that already holds (it reads only its
+own two relations) or, when balanced, an unequal total skips every candidate
+below.  The first survivor is re-verified through ``satisfies``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Optional
@@ -42,6 +52,26 @@ def _space_size(candidate_counts: list[int], pool_size: int, max_tuples: int) ->
                       for k in range(min(max_tuples, count) + 1))
         total *= per_rel
     return total
+
+
+def _weightings(pool: Iterable, rows: tuple, positions: Iterable[tuple], plus,
+                balanced: bool) -> list[tuple]:
+    """Each weight assignment of ``rows`` over ``pool`` in lexicographic order,
+    as ``(weights, marginals, total)``: ``marginals`` maps each of
+    ``positions`` to the summed weight of each point, and ``total`` is the
+    sum of all weights when ``balanced``, else None.  ``plus`` adds."""
+    groups = {}
+    for pos in positions:
+        points: dict = {}
+        for i, row in enumerate(rows):
+            points.setdefault(tuple(row[p] for p in pos), []).append(i)
+        groups[pos] = points.items()
+    return [(weights,
+             {pos: {point: functools.reduce(plus, [weights[i] for i in idx])
+                    for point, idx in points}
+              for pos, points in groups.items()},
+             functools.reduce(plus, weights, 0) if balanced else None)
+            for weights in itertools.product(pool, repeat=len(rows))]
 
 
 def brute_force_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, *,
@@ -87,76 +117,91 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
     if not pool:
         return None
 
-    # positions of each dependency side within the relation layouts
-    checks = []
-    for s in sigma + [tau]:
-        checks.append((
-            s,
-            s.lhs_rel, schema.positions(s.lhs_rel, s.lhs_attrs),
-            s.rhs_rel, schema.positions(s.rhs_rel, s.rhs_attrs),
-        ))
+    # Each dependency is checked at the depth (index in ``rels``) where both
+    # of its relations have weights, once per weighting when it reads one
+    # relation.  An assumption must hold and the query must fail.
+    checks = [(rels.index(d.lhs_rel), schema.positions(d.lhs_rel, d.lhs_attrs),
+               rels.index(d.rhs_rel), schema.positions(d.rhs_rel, d.rhs_attrs), want)
+              for d, want in [(member, True) for member in sigma] + [(tau, False)]]
+    depths = range(len(rels))
+    used = [{c[1] for c in checks if c[0] == i} | {c[3] for c in checks if c[2] == i}
+            for i in depths]
+    own = [[c for c in checks if c[0] == c[2] == i] for i in depths]
+    cross = [[c for c in checks if c[0] != c[2] and max(c[0], c[2]) == i] for i in depths]
 
-    # projection groups are shared across weight assignments and reused
-    # across support combinations
-    group_cache: dict = {}
+    # Elements are small integers: zero is 0 and the pool is 1, 2, ...  The
+    # monoid computes each sum and each comparison of two elements once.
+    values = [m.zero] + pool
+    ids = {value: i for i, value in enumerate(values)}
+    sums: dict = {}
+    known: dict = {}
 
-    def groups(rel: str, rows: tuple, positions: tuple[int, ...]) -> dict:
-        key = (rel, rows, positions)
-        cached = group_cache.get(key)
-        if cached is None:
-            cached = {}
-            for i, row in enumerate(rows):
-                cached.setdefault(tuple(row[p] for p in positions), []).append(i)
-            group_cache[key] = cached
-        return cached
+    def plus(a: int, b: int) -> int:
+        if (a, b) not in sums:
+            value = m.add(values[a], values[b])
+            if value not in ids:
+                ids[value] = len(values)
+                values.append(value)
+            sums[a, b] = ids[value]
+        return sums[a, b]
 
-    zero = m.zero
-
-    def holds(lhs_groups, rhs_groups, lhs_weights, rhs_weights) -> bool:
-        for point, lhs_rows in lhs_groups.items():
-            lhs_total = zero
-            for i in lhs_rows:
-                lhs_total = m.add(lhs_total, lhs_weights[i])
-            rhs_total = zero
-            for i in rhs_groups.get(point, ()):
-                rhs_total = m.add(rhs_total, rhs_weights[i])
-            if not m.leq(lhs_total, rhs_total):
+    def holds(lhs_marg: dict, rhs_marg: dict) -> bool:
+        for point, a in lhs_marg.items():
+            pair = (a, rhs_marg.get(point, 0))
+            if pair not in known:
+                known[pair] = m.leq(values[a], values[pair[1]])
+            if not known[pair]:
                 return False
         return True
 
     support_lists = [_support_choices(candidates[rel], max_tuples) for rel in rels]
-    for supports in itertools.product(*support_lists):
-        by_rel = dict(zip(rels, supports))
-        prepared = [
-            (s,
-             groups(lrel, by_rel[lrel], lpos), lrel,
-             groups(rrel, by_rel[rrel], rpos), rrel)
-            for s, lrel, lpos, rrel, rpos in checks
-        ]
-        weight_axes = [itertools.product(pool, repeat=len(by_rel[rel])) for rel in rels]
-        for assignment in itertools.product(*weight_axes):
-            weights = dict(zip(rels, assignment))
-            if balanced:
-                totals = [m.add_all(weights[rel]) for rel in rels]
-                if any(t != totals[0] for t in totals[1:]):
-                    continue
-            ok = True
-            for s, lhs_groups, lrel, rhs_groups, rrel in prepared[:-1]:
-                if not holds(lhs_groups, rhs_groups, weights[lrel], weights[rrel]):
-                    ok = False
+    cache: dict = {}
+
+    def weightings(i: int, j: int) -> list:
+        """The weightings of support ``j`` of relation ``i`` that pass the
+        relation's own checks, built on first use."""
+        if (i, j) not in cache:
+            cache[i, j] = [
+                entry for entry in _weightings(range(1, len(pool) + 1), support_lists[i][j],
+                                               used[i], plus, balanced)
+                if all(holds(entry[1][lpos], entry[1][rpos]) == want
+                       for _, lpos, _, rpos, want in own[i])]
+        return cache[i, j]
+
+    def descend(supports: tuple, chosen: list) -> bool:
+        """Give the relations weightings in order, depth first, skipping the
+        subtree under every failed check; true, with ``chosen`` filled, at the
+        first counterexample over these supports.  (Iterative: a recursive
+        closure would keep itself and the cache alive in a reference cycle.)"""
+        stack = [iter(weightings(0, supports[0]))]
+        while stack:
+            i = len(stack) - 1
+            for entry in stack[i]:
+                chosen[i] = entry
+                if (not balanced or entry[2] == chosen[0][2]) and all(
+                        holds(chosen[lhs][1][lpos], chosen[rhs][1][rpos]) == want
+                        for lhs, lpos, rhs, rpos, want in cross[i]):
                     break
-            if not ok:
+            else:
+                stack.pop()
                 continue
-            s, lhs_groups, lrel, rhs_groups, rrel = prepared[-1]
-            if holds(lhs_groups, rhs_groups, weights[lrel], weights[rrel]):
-                continue  # tau satisfied, not a counterexample
-            db = make_database(schema, m, {
-                rel: dict(zip(by_rel[rel], weights[rel])) for rel in rels
-            })
-            # re-verify through the marginalization path before returning
-            if (any(not satisfies(db, member) for member in sigma)
-                    or satisfies(db, tau)):
-                raise CountermodelError(
-                    "incremental check and marginal semantics disagree")
-            return Countermodel(db, CONSTRUCTION_ENUMERATION, {})
+            if i + 1 == len(rels):
+                return True
+            stack.append(iter(weightings(i + 1, supports[i + 1])))
+        return False
+
+    chosen: list = [None] * len(rels)
+    for supports in itertools.product(*(range(len(choices)) for choices in support_lists)):
+        if not descend(supports, chosen):
+            continue
+        db = make_database(schema, m, {
+            rel: dict(zip(support_lists[i][j], (values[w] for w in entry[0])))
+            for i, (rel, j, entry) in enumerate(zip(rels, supports, chosen))
+        })
+        # re-verify through the marginalization path before returning
+        if (any(not satisfies(db, member) for member in sigma)
+                or satisfies(db, tau)):
+            raise CountermodelError(
+                "incremental check and marginal semantics disagree")
+        return Countermodel(db, CONSTRUCTION_ENUMERATION, {})
     return None

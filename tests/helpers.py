@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from kindb.ind import IND, parse_ind
+from kindb.ind import IND, format_ind, infer_schema, parse_ind
 from kindb.kdb import KDatabase, Schema, make_database, schema_of
 from kindb.monoid import (
     BOOLEAN,
@@ -122,3 +122,50 @@ def grid_sigmas(max_size: int = 3) -> list[frozenset]:
         for combo in itertools.combinations(GRID_SIGMA_POOL, size):
             out.append(frozenset(combo))
     return out
+
+
+# -- reference falsifier -----------------------------------------------------
+
+def reference_search(sigma, tau, m: MonoidSpec, *, adom, weight_pool, max_tuples: int,
+                     schema=None, balanced: bool = False):
+    """The bounded falsifier as a flat loop: every candidate database in the
+    enumeration order of :mod:`kindb.oracle`, each checked whole, no pruning
+    and no cap.  Returns the least counterexample's database, or None."""
+    sigma = sorted(set(sigma), key=format_ind)
+    if schema is None:
+        schema = infer_schema(sigma + [tau])
+    constants = sorted(str(c) for c in set(adom))
+    pool = sorted({m.check(w) for w in weight_pool if m.check(w) != m.zero},
+                  key=m.format_element)
+    if not pool:
+        return None
+    rels = sorted(schema.relations)
+    support_lists = []
+    for rel in rels:
+        rows = sorted(itertools.product(constants, repeat=len(schema.relations[rel])))
+        support_lists.append([support for size in range(min(max_tuples, len(rows)) + 1)
+                              for support in itertools.combinations(rows, size)])
+    zero = m.zero
+
+    def holds(s, by_rel, weights) -> bool:
+        lpos = schema.positions(s.lhs_rel, s.lhs_attrs)
+        rpos = schema.positions(s.rhs_rel, s.rhs_attrs)
+        lhs, rhs = {}, {}
+        for rel, pos, out in ((s.lhs_rel, lpos, lhs), (s.rhs_rel, rpos, rhs)):
+            for row, w in zip(by_rel[rel], weights[rel]):
+                point = tuple(row[p] for p in pos)
+                out[point] = m.add(out.get(point, zero), w)
+        return all(m.leq(v, rhs.get(point, zero)) for point, v in lhs.items())
+
+    for supports in itertools.product(*support_lists):
+        by_rel = dict(zip(rels, supports))
+        axes = [itertools.product(pool, repeat=len(rows)) for rows in supports]
+        for assignment in itertools.product(*axes):
+            weights = dict(zip(rels, assignment))
+            if balanced and len({m.add_all(ws) for ws in assignment}) > 1:
+                continue
+            if all(holds(s, by_rel, weights) for s in sigma) \
+                    and not holds(tau, by_rel, weights):
+                return make_database(schema, m, {
+                    rel: dict(zip(by_rel[rel], weights[rel])) for rel in rels})
+    return None

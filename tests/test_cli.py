@@ -188,6 +188,28 @@ def test_oracle_command(capsys, tmp_path):
     assert json.loads(out)["counterexample"] is None
 
 
+ORACLE = {"monoid": "boolean", "sigma": ["R[A] <= S[B]"], "tau": "S[B] <= R[A]",
+          "adom": ["x", "y"], "weight_pool": ["1"], "max_tuples": 2}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({**ORACLE, "max_tuples": "x"}, "max_tuples"),
+    ([ORACLE], "object"),
+    ({**ORACLE, "sigma": "R[A] <= S[B]"}, "sigma"),
+    ({**ORACLE, "adom": "xy"}, "adom"),
+    ({**ORACLE, "max_candidates": -1}, "max_candidates"),
+    ({**ORACLE, "weight_pool": "1"}, "weight_pool"),
+    ({**ORACLE, "balanced": "false"}, "balanced"),
+    ({k: v for k, v in ORACLE.items() if k != "tau"}, "tau"),
+])
+def test_oracle_malformed_config(capsys, tmp_path, doc, field):
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "oracle", str(config))
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
 def test_outputs_are_deterministic(capsys, workspace):
     outs = []
     for _ in range(2):

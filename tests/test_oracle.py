@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, reference_search
+from kindb import oracle
 from kindb.errors import SearchSpaceTooLarge
-from kindb.ind import parse_ind, satisfies
-from kindb.kdb import is_balanced
+from kindb.ind import IND, parse_ind, satisfies
+from kindb.kdb import is_balanced, schema_of
 from kindb.monoid import BOOLEAN, NATURALS, NONNEG_RATIONALS
 from kindb.oracle import brute_force_balanced_entails, brute_force_entails
 
@@ -83,6 +87,73 @@ def test_oracle_search_space_cap():
         brute_force_entails(SIGMA, TAU, NATURALS,
                             adom=["a", "b", "c"], weight_pool=list(range(10)),
                             max_tuples=6, max_candidates=1000)
+
+
+def test_cap_is_checked_before_any_weighting_is_built(monkeypatch):
+    adds = []
+    monkeypatch.setattr(NATURALS, "add", lambda a, b: adds.append((a, b)))
+    with pytest.raises(SearchSpaceTooLarge):
+        brute_force_entails(SIGMA, TAU, NATURALS,
+                            adom=["a", "b", "c"], weight_pool=list(range(10)),
+                            max_tuples=6, max_candidates=1000)
+    assert adds == []
+
+
+def test_relation_pruned_by_its_own_checks_never_reaches_later_weightings(monkeypatch):
+    # Over {x, y} with one row, R[A] <= R[B] fails on (x,y) and (y,x), and the
+    # query R[A,B] <= R[B,A] holds on the empty R, (x,x) and (y,y): no
+    # weighting of R survives, so no weighting of S is ever built.
+    built = []
+    real = oracle._weightings
+
+    def spy(pool, rows, *rest):
+        built.append(rows)
+        return real(pool, rows, *rest)
+
+    monkeypatch.setattr(oracle, "_weightings", spy)
+    schema = schema_of({"R": ("A", "B"), "S": ("C",)})
+    args = (parse_ind("R[A] <= R[B]"),), parse_ind("R[A,B] <= R[B,A]"), NATURALS
+    kwargs = dict(adom=["x", "y"], weight_pool=[1, 2], max_tuples=1, schema=schema)
+    assert brute_force_entails(*args, **kwargs) is None
+    assert reference_search(*args, **kwargs) is None
+    assert len(built) == 5  # the empty support and the four rows of R
+    assert all(len(row) == 2 for rows in built for row in rows)
+
+
+ATTRS = {"R": ("A", "B"), "S": ("C", "D"), "T": ("E", "F")}
+
+
+@st.composite
+def dependencies(draw, schema):
+    rels = sorted(schema.relations)
+    lhs, rhs = draw(st.sampled_from(rels)), draw(st.sampled_from(rels))
+    k = draw(st.integers(0, min(len(schema.relations[lhs]), len(schema.relations[rhs]))))
+    return IND(lhs, tuple(draw(st.permutations(schema.relations[lhs]))[:k]),
+               rhs, tuple(draw(st.permutations(schema.relations[rhs]))[:k]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pruned_search_matches_reference_enumerator(data):
+    rels = ["R", "S", "T"][:data.draw(st.integers(2, 3))]
+    schema = schema_of({rel: ATTRS[rel][:data.draw(st.integers(0, 2))] for rel in rels})
+    sigma = data.draw(st.lists(dependencies(schema), max_size=3))
+    tau = data.draw(dependencies(schema))
+    m = data.draw(st.sampled_from(BUILTIN_MONOIDS))
+    pool = data.draw(st.lists(st.sampled_from([m.zero] + WEIGHT_POOLS[m.name]),
+                              min_size=1, max_size=2, unique=True))
+    adom = data.draw(st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True))
+    max_tuples = data.draw(st.integers(0, 2))
+    balanced = data.draw(st.booleans())
+    search = brute_force_balanced_entails if balanced else brute_force_entails
+    try:
+        found = search(sigma, tau, m, adom=adom, weight_pool=pool, max_tuples=max_tuples,
+                       schema=schema, max_candidates=5000)
+    except SearchSpaceTooLarge:
+        reject()
+    expected = reference_search(sigma, tau, m, adom=adom, weight_pool=pool,
+                                max_tuples=max_tuples, schema=schema, balanced=balanced)
+    assert (found.database if found else None) == expected
 
 
 def test_oracle_fraction_pool():
