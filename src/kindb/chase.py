@@ -11,23 +11,24 @@ Two variants:
   not terminate in general, but terminates whenever the dependency set is
   closed under the standard rules plus weak symmetry.
 
-Both record replayable traces.  The additive chase runs a deterministic
-round-robin schedule over all pairs (dependency, witness point) with
-witnesses drawn from the start database's active domain plus the star
-constant; chase steps introduce no other values, so this pool is closed, and
-cycling through it is a fair schedule (every violated pair is eventually
-repaired because each applied step equalizes its marginal).
+Both record replayable traces.  The additive chase makes passes over the
+dependencies in canonical order; for each it visits the points of the left
+marginal in sorted order.  Elsewhere the left side weighs zero, so no step
+applies there.  A step equalizes the marginals at its witness; a point it
+adds to a dependency's own left marginal is still visited in the same pass
+when it sorts after the witness.  The chase stops after a pass with no step.
+The result of a terminating chase depends on this order.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InvalidConfig, MonoidMismatch, UnsupportedMonoid
 from .ind import IND, format_ind, ind_sort_key, validate_ind
-from .kdb import STAR, KDatabase, Row, Schema, adom, make_database
+from .kdb import STAR, KDatabase, KRelation, Row, Schema, make_database, marginalize
 from .monoid import BOOLEAN, Element, MonoidSpec
 
 KIND_RULE_STAR = "rule_star"
@@ -84,36 +85,20 @@ def canonical_start(tau: IND, schema: Schema, monoid: MonoidSpec) -> KDatabase:
     return make_database(schema, monoid, {tau.lhs_rel: {row: 1}})
 
 
-def _positions(schema: Schema, sigma: IND) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (schema.positions(sigma.lhs_rel, sigma.lhs_attrs),
-            schema.positions(sigma.rhs_rel, sigma.rhs_attrs))
-
-
-def _marginal_at(weights: dict[Row, Element], positions: tuple[int, ...],
-                 point: Row, m: MonoidSpec) -> Element:
-    total = m.zero
-    for row, w in weights.items():
-        ok = True
-        for i, v in zip(positions, point):
-            if row[i] != v:
-                ok = False
-                break
-        if ok:
-            total = m.add(total, w)
-    return total
+def _require_wc_order(m: MonoidSpec) -> None:
+    if not m.has_total_wc_order:
+        raise UnsupportedMonoid(
+            f"the additive chase needs a total weakly cancellative order; {m.name} lacks one")
 
 
 def applicable(db: KDatabase, sigma: IND, witness: Row) -> bool:
     """True iff the left marginal at the witness is not below the right one."""
-    if not db.monoid.has_total_wc_order:
-        raise UnsupportedMonoid(
-            f"the additive chase needs a total weakly cancellative order; {db.monoid.name} lacks one")
-    validate_ind(sigma, db.schema)
-    lhs_pos, rhs_pos = _positions(db.schema, sigma)
     m = db.monoid
-    lhs = _marginal_at(db.relation(sigma.lhs_rel).weights, lhs_pos, witness, m)
-    rhs = _marginal_at(db.relation(sigma.rhs_rel).weights, rhs_pos, witness, m)
-    return not m.leq(lhs, rhs)
+    _require_wc_order(m)
+    validate_ind(sigma, db.schema)
+    lhs = marginalize(db.relation(sigma.lhs_rel), sigma.lhs_attrs, m).weights
+    rhs = marginalize(db.relation(sigma.rhs_rel), sigma.rhs_attrs, m).weights
+    return not m.leq(lhs.get(witness, m.zero), rhs.get(witness, m.zero))
 
 
 def plus_chase(db: KDatabase, sigma: Iterable[IND],
@@ -121,47 +106,47 @@ def plus_chase(db: KDatabase, sigma: Iterable[IND],
     """Run the additive chase to completion or to the step limit."""
     cfg = config or ChaseConfig()
     m = db.monoid
-    if not m.has_total_wc_order:
-        raise UnsupportedMonoid(
-            f"the additive chase needs a total weakly cancellative order; {m.name} lacks one")
+    _require_wc_order(m)
     inds = sorted(set(sigma), key=ind_sort_key)
     for s in inds:
         validate_ind(s, db.schema)
-
-    pool = sorted(adom(db) | {STAR})
-    pairs: list[tuple[IND, Row, tuple[int, ...], tuple[int, ...], tuple[str, ...]]] = []
-    for s in inds:
-        lhs_pos, rhs_pos = _positions(db.schema, s)
-        layout = db.schema.attributes(s.rhs_rel)
-        for witness in itertools.product(pool, repeat=s.arity):
-            pairs.append((s, witness, lhs_pos, rhs_pos, layout))
-
-    work = {rel: dict(kr.weights) for rel, kr in db.relations.items()}
+    work = db.copy().relations
     steps: list[ChaseStep] = []
-    outcome = OUTCOME_TERMINATED
-    if pairs:
-        index = 0
-        idle = 0
-        while idle < len(pairs):
-            s, witness, lhs_pos, rhs_pos, layout = pairs[index]
-            index = (index + 1) % len(pairs)
-            lhs = _marginal_at(work[s.lhs_rel], lhs_pos, witness, m)
-            rhs = _marginal_at(work[s.rhs_rel], rhs_pos, witness, m)
-            if m.leq(lhs, rhs):
-                idle += 1
-                continue
-            if len(steps) >= cfg.step_limit:
-                outcome = OUTCOME_STEP_LIMIT
-                break
-            delta = m.monus(lhs, rhs)
-            target = star_padded(layout, s.rhs_attrs, witness)
-            prior = work[s.rhs_rel].get(target, m.zero)
-            work[s.rhs_rel][target] = m.add(prior, delta)
-            steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
-            idle = 0
-
-    result = make_database(db.schema, m, work)
+    outcome = _plus_passes(work, inds, m, cfg.step_limit, steps)
+    result = make_database(db.schema, m, {rel: kr.weights for rel, kr in work.items()})
     return ChaseTrace(db.copy(), steps, outcome, result)
+
+
+def _plus_passes(work: dict[str, KRelation], inds: list[IND], m: MonoidSpec,
+                 step_limit: int, steps: list[ChaseStep]) -> str:
+    """Apply additive steps to ``work`` in place, appending them to ``steps``;
+    return the outcome."""
+    while True:
+        before = len(steps)
+        for s in inds:
+            lhs = marginalize(work[s.lhs_rel], s.lhs_attrs, m).weights
+            rhs = marginalize(work[s.rhs_rel], s.rhs_attrs, m).weights
+            target_rel = work[s.rhs_rel]
+            lhs_pos = [work[s.lhs_rel].attributes.index(a) for a in s.lhs_attrs]
+            points = sorted(lhs)
+            for witness in points:  # insort below only adds points after this one
+                have = rhs.get(witness, m.zero)
+                if m.leq(lhs[witness], have):
+                    continue
+                if len(steps) >= step_limit:
+                    return OUTCOME_STEP_LIMIT
+                delta = m.monus(lhs[witness], have)
+                target = star_padded(target_rel.attributes, s.rhs_attrs, witness)
+                target_rel.weights[target] = m.add(target_rel.weights.get(target, m.zero), delta)
+                rhs[witness] = m.add(have, delta)
+                steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
+                if s.lhs_rel == s.rhs_rel:
+                    point = tuple(target[p] for p in lhs_pos)
+                    if point not in lhs and point > witness:
+                        bisect.insort(points, point)
+                    lhs[point] = m.add(lhs.get(point, m.zero), delta)
+        if len(steps) == before:
+            return OUTCOME_TERMINATED
 
 
 def classical_chase(db: KDatabase, sigma: Iterable[IND]) -> tuple[KDatabase, ChaseTrace]:
@@ -177,7 +162,7 @@ def classical_chase(db: KDatabase, sigma: Iterable[IND]) -> tuple[KDatabase, Cha
     prepared = []
     for s in inds:
         validate_ind(s, db.schema)
-        lhs_pos, _ = _positions(db.schema, s)
+        lhs_pos = db.schema.positions(s.lhs_rel, s.lhs_attrs)
         prepared.append((s, lhs_pos, db.schema.attributes(s.rhs_rel)))
 
     work: dict[str, set[Row]] = {rel: set(kr.weights) for rel, kr in db.relations.items()}

@@ -101,17 +101,15 @@ def inverse(sigma: IND) -> IND:
 def satisfies(db: KDatabase, sigma: IND) -> bool:
     """Pointwise comparison of the two marginals under the natural order.
 
-    Quantification runs over the union of both marginal supports; elsewhere
-    the left side weighs zero and the comparison holds by positivity.
+    Quantification runs over the left marginal's support; elsewhere the left
+    side weighs zero, which is below every element.
     """
     validate_ind(sigma, db.schema)
     m = db.monoid
-    lhs = marginalize(db.relation(sigma.lhs_rel), sigma.lhs_attrs, m)
-    rhs = marginalize(db.relation(sigma.rhs_rel), sigma.rhs_attrs, m)
-    for point in set(lhs.weights) | set(rhs.weights):
-        if not m.leq(lhs.weights.get(point, m.zero), rhs.weights.get(point, m.zero)):
-            return False
-    return True
+    lhs = marginalize(db.relation(sigma.lhs_rel), sigma.lhs_attrs, m).weights
+    rhs = marginalize(db.relation(sigma.rhs_rel), sigma.rhs_attrs, m).weights
+    zero = m.zero
+    return all(m.leq(w, rhs.get(point, zero)) for point, w in lhs.items())
 
 
 def satisfies_all(db: KDatabase, sigmas: Iterable[IND]) -> bool:

@@ -13,9 +13,11 @@ permutation commute with every other rule, so any derivation can be
 normalized to apply them to axioms only.  The universe therefore consists of
 all index selections of the assumption set, the arity-0 reflexivity
 instances (needed as weak-symmetry premises on a single relation), and the
-balance instances where applicable, closed under transitivity and the
-symmetry rules.  Attribute sequences are never invented, so the closure is
-finite and polynomial in the assumption set for fixed arity.
+balance instances where applicable, closed under transitivity and weak
+symmetry.  Plain symmetry adds nothing to that closure: with the balance
+axioms every arity-0 premise holds, so weak symmetry already yields every
+inverse.  Attribute sequences are never invented, so the closure is finite
+and polynomial in the assumption set for fixed arity.
 
 Reflexivity instances of positive arity are tautologies and act as
 identities under transitivity; they are omitted from closures and handled
@@ -167,12 +169,6 @@ def _closure(sigma: Iterable[IND], system: RuleSystem,
                             RULE_WEAK_SYMMETRY, conclusion,
                             (proofs[s1], proofs[premise]))):
                         changed = True
-        if system.has_balance:
-            for s1 in members:
-                conclusion = inverse(s1)
-                if admit(conclusion, DerivationProof(
-                        RULE_SYMMETRY, conclusion, (proofs[s1],))):
-                    changed = True
     return proofs
 
 

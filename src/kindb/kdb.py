@@ -110,6 +110,7 @@ def make_database(schema: Schema, monoid: MonoidSpec,
     weights = weights or {}
     for rel in weights:
         schema.attributes(rel)
+    zero = monoid.zero
     relations = {}
     for rel, attrs in schema.relations.items():
         cleaned: dict[Row, Element] = {}
@@ -117,7 +118,7 @@ def make_database(schema: Schema, monoid: MonoidSpec,
             if len(row) != len(attrs):
                 raise SchemaMismatch(f"row {row} does not fit relation {rel}{attrs}")
             w = monoid.check(w)
-            if w != monoid.zero:
+            if w != zero:
                 cleaned[tuple(row)] = w
         relations[rel] = KRelation(attrs, cleaned)
     return KDatabase(schema, monoid, relations)
@@ -141,12 +142,16 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
             positions.append(rel.attributes.index(a))
         except ValueError:
             raise UnknownAttribute(f"no attribute {a!r} in {rel.attributes}") from None
-    out: dict[Row, Element] = {}
+    groups: dict[Row, list[Element]] = {}
     for row, w in rel.weights.items():
-        key = tuple(row[i] for i in positions)
-        prior = out.get(key)
-        out[key] = w if prior is None else m.add(prior, w)
-    out = {k: v for k, v in out.items() if v != m.zero}
+        key = tuple([row[i] for i in positions])
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [w]
+        else:
+            group.append(w)
+    zero = m.zero
+    out = {k: s for k, ws in groups.items() if (s := m.add_all(ws)) != zero}
     return KRelation(attrs, out)
 
 
@@ -182,14 +187,6 @@ def is_balanced(db: KDatabase) -> bool:
     return all(t == totals[0] for t in totals[1:])
 
 
-def adom(db: KDatabase) -> set[str]:
-    values: set[str] = set()
-    for kr in db.relations.values():
-        for row in kr.weights:
-            values.update(row)
-    return values
-
-
 # -- JSON interchange ----------------------------------------------------------
 
 def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
@@ -222,24 +219,28 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
     weights: dict[str, dict[Row, Element]] = {}
     for rel, rows in relations.items():
         attrs = schema.attributes(rel)
+        attr_set = set(attrs)
         rel_weights: dict[Row, Element] = {}
         for entry in rows:
             mapping = entry.get("tuple") if isinstance(entry, dict) else None
             if not isinstance(mapping, dict) or "weight" not in entry:
                 raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
-            raw_weight = entry["weight"]
-            if set(mapping) != set(attrs):
+            if mapping.keys() != attr_set:
                 raise ParseError(
                     f"row for {rel} must assign exactly the attributes {list(attrs)}")
-            row = tuple(str(mapping[a]) for a in attrs)
+            row = tuple([str(mapping[a]) for a in attrs])
             if not allow_star and STAR in row:
                 raise StarConstantError(
                     f"the constant {STAR!r} is reserved and cannot appear in input data")
-            w = monoid.parse_element(str(raw_weight))
+            w = monoid.parse_element(str(entry["weight"]))
             prior = rel_weights.get(row)
             rel_weights[row] = w if prior is None else monoid.add(prior, w)
         weights[rel] = rel_weights
-    return make_database(schema, monoid, weights)
+    # every weight is already parsed and checked; only zero sums remain to drop
+    zero = monoid.zero
+    return KDatabase(schema, monoid, {
+        rel: KRelation(attrs, {row: w for row, w in weights.get(rel, {}).items() if w != zero})
+        for rel, attrs in schema.relations.items()})
 
 
 def load_database_file(path: str) -> KDatabase:

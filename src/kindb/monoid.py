@@ -86,6 +86,32 @@ class PropertyReport:
         }
 
 
+# Declared classifications of the builtins: every element of boolean and
+# max-naturals is idempotent; the naturals and rationals are cancellative.
+_IDEMPOTENT_REPORT = PropertyReport(
+    positive=True,
+    weakly_cancellative=False,
+    weakly_absorptive=True,
+    self_absorptive=True,
+    k_absorptive_max=UNBOUNDED,
+    countably_absorptive=True,
+    natural_order_total=True,
+    natural_order_antisymmetric=True,
+    provenance="declared",
+)
+_CANCELLATIVE_REPORT = PropertyReport(
+    positive=True,
+    weakly_cancellative=True,
+    weakly_absorptive=False,
+    self_absorptive=False,
+    k_absorptive_max=0,
+    countably_absorptive=False,
+    natural_order_total=True,
+    natural_order_antisymmetric=True,
+    provenance="declared",
+)
+
+
 class MonoidSpec:
     """A positive commutative monoid together with element codecs.
 
@@ -220,17 +246,7 @@ class BooleanMonoid(MonoidSpec):
         return self.check(a) <= self.check(b)
 
     def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-        return PropertyReport(
-            positive=True,
-            weakly_cancellative=False,
-            weakly_absorptive=True,
-            self_absorptive=True,
-            k_absorptive_max=UNBOUNDED,
-            countably_absorptive=True,
-            natural_order_total=True,
-            natural_order_antisymmetric=True,
-            provenance="declared",
-        )
+        return _IDEMPOTENT_REPORT
 
     def parse_element(self, text):
         try:
@@ -260,6 +276,9 @@ class NaturalsMonoid(MonoidSpec):
     def add(self, a, b):
         return self.check(a) + self.check(b)
 
+    def add_all(self, values):
+        return sum(map(self.check, values))
+
     def leq(self, a, b):
         return self.check(a) <= self.check(b)
 
@@ -270,17 +289,7 @@ class NaturalsMonoid(MonoidSpec):
         return a - b
 
     def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-        return PropertyReport(
-            positive=True,
-            weakly_cancellative=True,
-            weakly_absorptive=False,
-            self_absorptive=False,
-            k_absorptive_max=0,
-            countably_absorptive=False,
-            natural_order_total=True,
-            natural_order_antisymmetric=True,
-            provenance="declared",
-        )
+        return _CANCELLATIVE_REPORT
 
     def parse_element(self, text):
         try:
@@ -316,6 +325,9 @@ class NonnegRationalsMonoid(MonoidSpec):
     def add(self, a, b):
         return self.check(a) + self.check(b)
 
+    def add_all(self, values):
+        return sum(map(self.check, values), Fraction(0))
+
     def leq(self, a, b):
         return self.check(a) <= self.check(b)
 
@@ -326,17 +338,7 @@ class NonnegRationalsMonoid(MonoidSpec):
         return a - b
 
     def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-        return PropertyReport(
-            positive=True,
-            weakly_cancellative=True,
-            weakly_absorptive=False,
-            self_absorptive=False,
-            k_absorptive_max=0,
-            countably_absorptive=False,
-            natural_order_total=True,
-            natural_order_antisymmetric=True,
-            provenance="declared",
-        )
+        return _CANCELLATIVE_REPORT
 
     def parse_element(self, text):
         try:
@@ -371,17 +373,7 @@ class MaxNaturalsMonoid(MonoidSpec):
         return self.check(a) <= self.check(b)
 
     def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-        return PropertyReport(
-            positive=True,
-            weakly_cancellative=False,
-            weakly_absorptive=True,
-            self_absorptive=True,
-            k_absorptive_max=UNBOUNDED,
-            countably_absorptive=True,
-            natural_order_total=True,
-            natural_order_antisymmetric=True,
-            provenance="declared",
-        )
+        return _IDEMPOTENT_REPORT
 
     def nonzero_idempotent(self):
         return 1

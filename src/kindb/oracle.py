@@ -30,7 +30,7 @@ import math
 from typing import Iterable, Optional
 
 from .entail import Countermodel
-from .errors import CountermodelError, SearchSpaceTooLarge
+from .errors import CountermodelError, ParseError, SearchSpaceTooLarge
 from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
 from .kdb import Schema, make_database
 from .monoid import Element, MonoidSpec
@@ -97,13 +97,17 @@ def brute_force_balanced_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, 
 
 def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
             max_candidates, balanced) -> Optional[Countermodel]:
+    if not isinstance(adom, str):
+        adom = list(adom)
+    if isinstance(adom, str) or not all(isinstance(c, str) for c in adom):
+        raise ParseError(f"adom must be a collection of constant names (strings), got {adom!r}")
     sigma = sorted(set(sigma), key=format_ind)
     if schema is None:
         schema = infer_schema(sigma + [tau])
     for s in sigma + [tau]:
         validate_ind(s, schema)
 
-    constants = sorted(str(c) for c in set(adom))
+    constants = sorted(set(adom))
     pool = sorted({m.check(w) for w in weight_pool if m.check(w) != m.zero},
                   key=m.format_element)
     rels = sorted(schema.relations)

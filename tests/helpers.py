@@ -6,8 +6,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from kindb.ind import IND, format_ind, infer_schema, parse_ind
-from kindb.kdb import KDatabase, Schema, make_database, schema_of
+from hypothesis import strategies as st
+from kindb.chase import (
+    KIND_PLUS_RULE,
+    OUTCOME_STEP_LIMIT,
+    OUTCOME_TERMINATED,
+    ChaseStep,
+    ChaseTrace,
+    star_padded,
+)
+from kindb.ind import IND, format_ind, ind_sort_key, infer_schema, parse_ind
+from kindb.kdb import STAR, KDatabase, Schema, make_database, schema_of
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
@@ -96,6 +105,17 @@ def ind_universe(schema: Schema, max_arity: int) -> list[IND]:
     return out
 
 
+@st.composite
+def dependencies(draw, schema):
+    """A hypothesis strategy: any dependency over ``schema``, both sides
+    possibly the same relation."""
+    rels = sorted(schema.relations)
+    lhs, rhs = draw(st.sampled_from(rels)), draw(st.sampled_from(rels))
+    k = draw(st.integers(0, min(len(schema.relations[lhs]), len(schema.relations[rhs]))))
+    return IND(lhs, tuple(draw(st.permutations(schema.relations[lhs]))[:k]),
+               rhs, tuple(draw(st.permutations(schema.relations[rhs]))[:k]))
+
+
 # -- the entailment-equivalence grid -----------------------------------------
 
 GRID_SCHEMA = schema_of({"R": ("A", "B"), "S": ("C", "D", "E")})
@@ -169,3 +189,59 @@ def reference_search(sigma, tau, m: MonoidSpec, *, adom, weight_pool, max_tuples
                 return make_database(schema, m, {
                     rel: dict(zip(by_rel[rel], weights[rel])) for rel in rels})
     return None
+
+
+# -- reference additive chase --------------------------------------------------
+
+def witness_pool(db: KDatabase) -> list[str]:
+    """The values of ``db`` plus the star, sorted: every value a chase of
+    ``db`` can write."""
+    return sorted({v for kr in db.relations.values() for row in kr.weights for v in row} | {STAR})
+
+
+def reference_marginal_at(weights, positions, point, m: MonoidSpec):
+    """The summed weight of the rows that agree with ``point`` on ``positions``."""
+    total = m.zero
+    for row, w in weights.items():
+        if all(row[i] == v for i, v in zip(positions, point)):
+            total = m.add(total, w)
+    return total
+
+
+def reference_plus_chase(db: KDatabase, sigma, step_limit: int = 10_000) -> ChaseTrace:
+    """The additive chase as a round-robin over every (dependency, witness)
+    pair, witnesses drawn from the start's active domain plus the star, each
+    visit re-summing both marginals; stops after a full cycle of idle pairs.
+    Same visiting order as :func:`kindb.chase.plus_chase`."""
+    m = db.monoid
+    inds = sorted(set(sigma), key=ind_sort_key)
+    pool = witness_pool(db)
+    pairs = []
+    for s in inds:
+        lhs_pos = db.schema.positions(s.lhs_rel, s.lhs_attrs)
+        rhs_pos = db.schema.positions(s.rhs_rel, s.rhs_attrs)
+        layout = db.schema.attributes(s.rhs_rel)
+        for witness in itertools.product(pool, repeat=s.arity):
+            pairs.append((s, witness, lhs_pos, rhs_pos, layout))
+
+    work = {rel: dict(kr.weights) for rel, kr in db.relations.items()}
+    steps = []
+    outcome = OUTCOME_TERMINATED
+    index = idle = 0
+    while idle < len(pairs):
+        s, witness, lhs_pos, rhs_pos, layout = pairs[index]
+        index = (index + 1) % len(pairs)
+        lhs = reference_marginal_at(work[s.lhs_rel], lhs_pos, witness, m)
+        rhs = reference_marginal_at(work[s.rhs_rel], rhs_pos, witness, m)
+        if m.leq(lhs, rhs):
+            idle += 1
+            continue
+        if len(steps) >= step_limit:
+            outcome = OUTCOME_STEP_LIMIT
+            break
+        delta = m.monus(lhs, rhs)
+        target = star_padded(layout, s.rhs_attrs, witness)
+        work[s.rhs_rel][target] = m.add(work[s.rhs_rel].get(target, m.zero), delta)
+        steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
+        idle = 0
+    return ChaseTrace(db.copy(), steps, outcome, make_database(db.schema, m, work))

@@ -1,7 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    WEIGHT_POOLS,
+    dependencies,
+    reference_marginal_at,
+    reference_plus_chase,
+    witness_pool,
+)
 from kindb.errors import MonoidMismatch, UnsupportedMonoid
 from kindb.chase import (
     ChaseConfig,
@@ -25,7 +35,7 @@ from kindb.kdb import (
     schema_of,
     support,
 )
-from kindb.monoid import BOOLEAN, NATURALS
+from kindb.monoid import BOOLEAN, NATURALS, NONNEG_RATIONALS
 
 R3 = schema_of({"R": ("A", "B", "C")})
 LOOP = parse_ind("R[B,C] <= R[A,B]")
@@ -230,3 +240,50 @@ def test_trace_json_shape():
     classical = classical_chase(canonical_start(LOOP, R3, BOOLEAN), [LOOP])[1]
     doc2 = trace_to_json(classical)
     assert all("delta" not in s for s in doc2["steps"])
+
+
+CHASE_ATTRS = {"R": ("A", "B", "C"), "S": ("D", "E", "F")}
+
+
+@st.composite
+def chase_inputs(draw):
+    rels = ["R", "S"][:draw(st.integers(1, 2))]
+    schema = schema_of({rel: CHASE_ATTRS[rel][:draw(st.integers(0, 3))] for rel in rels})
+    sigma = draw(st.lists(dependencies(schema), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        sigma = list(saturate(sigma, RuleSystem.STANDARD_WS, schema))
+    m = draw(st.sampled_from([NATURALS, NONNEG_RATIONALS]))
+    if draw(st.booleans()):
+        db = canonical_start(draw(dependencies(schema)), schema, m)
+    else:
+        db = make_database(schema, m, {
+            rel: draw(st.dictionaries(st.tuples(*[st.sampled_from(["a", "b", STAR])] * len(attrs)),
+                                      st.sampled_from(WEIGHT_POOLS[m.name]), min_size=1, max_size=3))
+            for rel, attrs in schema.relations.items()})
+    return db, sigma, draw(st.integers(1, 200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chase_inputs())
+# the first step adds the point ("2", STAR) to LOOP's left marginal, after its witness
+@example((canonical_start(LOOP, R3, NATURALS), [LOOP, LOOP_BACK], 200))
+# the first step, at (a, b), adds 2 to R[B,C] at (b, *), which comes later
+@example((make_database(R3, NATURALS, {"R": {(STAR, "a", "b"): 2, (STAR, "b", STAR): 1}}),
+          [LOOP], 2))
+def test_plus_chase_matches_reference_round_robin(inputs):
+    db, sigma, step_limit = inputs
+    trace = plus_chase(db, sigma, ChaseConfig(step_limit=step_limit))
+    expected = reference_plus_chase(db, sigma, step_limit)
+    assert trace.steps == expected.steps
+    assert trace.outcome == expected.outcome
+    assert trace.result == expected.result
+    m = db.monoid
+    pool = witness_pool(trace.result)
+    for state in (db, trace.result):
+        for s in sigma:
+            lhs_pos = db.schema.positions(s.lhs_rel, s.lhs_attrs)
+            rhs_pos = db.schema.positions(s.rhs_rel, s.rhs_attrs)
+            for witness in itertools.product(pool, repeat=s.arity):
+                lhs = reference_marginal_at(state.relation(s.lhs_rel).weights, lhs_pos, witness, m)
+                rhs = reference_marginal_at(state.relation(s.rhs_rel).weights, rhs_pos, witness, m)
+                assert applicable(state, s, witness) == (not m.leq(lhs, rhs))

@@ -154,6 +154,20 @@ def test_zero_weights_normalized_away():
     assert db.relation("R").support() == {("y",)}
 
 
+def test_load_sums_repeated_rows_and_drops_zero_sums():
+    doc = {
+        "monoid": "naturals",
+        "schema": {"R": ["A"], "S": ["B"]},
+        "relations": {"R": [{"tuple": {"A": "x"}, "weight": "2"},
+                            {"tuple": {"A": "x"}, "weight": "3"},
+                            {"tuple": {"A": "y"}, "weight": "0"}]},
+    }
+    db = load_database(doc)
+    assert db.relation("R").weights == {("x",): 5}
+    assert db.relation("S").weights == {}
+    assert db == make_database(db.schema, NATURALS, {"R": {("x",): 5}})
+
+
 def test_load_rejects_star():
     doc = {
         "monoid": "naturals",

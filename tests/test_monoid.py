@@ -70,6 +70,20 @@ def test_add_rejects_foreign_elements():
         MONO23.add(5, 0)
 
 
+def test_add_all_folds_add_from_zero():
+    for m, values in [(NATURALS, [3, 0, True, 4]), (NONNEG_RATIONALS, [Fraction(1, 2), 1, 0]),
+                      (BOOLEAN, [0, 1, 1]), (MAX_NATURALS, [2, 7, 3]), (MONO23, [3, 4, 2])]:
+        folded = m.zero
+        for v in values:
+            folded = m.add(folded, v)
+        assert m.add_all(values) == folded
+        assert m.add_all([]) == m.zero
+    with pytest.raises(ElementError):
+        NATURALS.add_all([2, -1])
+    with pytest.raises(ElementError):
+        NONNEG_RATIONALS.add_all([Fraction(1, 2), Fraction(-1, 2)])
+
+
 def test_natural_leq():
     assert NATURALS.leq(2, 5)
     assert not NATURALS.leq(5, 2)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, reference_search
+from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, dependencies, reference_search
 from kindb import oracle
-from kindb.errors import SearchSpaceTooLarge
-from kindb.ind import IND, parse_ind, satisfies
+from kindb.errors import ParseError, SearchSpaceTooLarge
+from kindb.ind import parse_ind, satisfies
 from kindb.kdb import is_balanced, schema_of
 from kindb.monoid import BOOLEAN, NATURALS, NONNEG_RATIONALS
 from kindb.oracle import brute_force_balanced_entails, brute_force_entails
@@ -89,6 +89,13 @@ def test_oracle_search_space_cap():
                             max_tuples=6, max_candidates=1000)
 
 
+@pytest.mark.parametrize("adom", ["xy", [1, 2], ["x", 2]], ids=["string", "numbers", "mixed"])
+def test_adom_must_be_constant_names(adom):
+    for search in (brute_force_entails, brute_force_balanced_entails):
+        with pytest.raises(ParseError, match="adom"):
+            search(SIGMA, TAU, NATURALS, adom=adom, weight_pool=[1], max_tuples=1)
+
+
 def test_cap_is_checked_before_any_weighting_is_built(monkeypatch):
     adds = []
     monkeypatch.setattr(NATURALS, "add", lambda a, b: adds.append((a, b)))
@@ -121,15 +128,6 @@ def test_relation_pruned_by_its_own_checks_never_reaches_later_weightings(monkey
 
 
 ATTRS = {"R": ("A", "B"), "S": ("C", "D"), "T": ("E", "F")}
-
-
-@st.composite
-def dependencies(draw, schema):
-    rels = sorted(schema.relations)
-    lhs, rhs = draw(st.sampled_from(rels)), draw(st.sampled_from(rels))
-    k = draw(st.integers(0, min(len(schema.relations[lhs]), len(schema.relations[rhs]))))
-    return IND(lhs, tuple(draw(st.permutations(schema.relations[lhs]))[:k]),
-               rhs, tuple(draw(st.permutations(schema.relations[rhs]))[:k]))
 
 
 @settings(max_examples=150, deadline=None)
