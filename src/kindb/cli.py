@@ -13,6 +13,7 @@ counterexample exists), 2 input error, 3 step budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -143,7 +144,7 @@ def cmd_chase(args) -> int:
 
 def cmd_classify(args) -> int:
     m = _load_monoid_arg(args.monoid)
-    report = m.classify(args.k_bound)
+    report = m.classify()
     _print_json({"monoid": m.name, **report.as_dict()})
     return EXIT_YES
 
@@ -195,7 +196,9 @@ def cmd_oracle(args) -> int:
     return EXIT_NO
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="kindb",
         description="Inclusion-dependency reasoning over monoid-annotated databases.")
@@ -229,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="report monoid properties")
     p_classify.add_argument("monoid", help="builtin name, monogenic:m0,l, or table JSON file")
-    p_classify.add_argument("--k-bound", type=int, default=8)
     p_classify.set_defaults(func=cmd_classify)
 
     p_oracle = sub.add_parser("oracle", help="bounded counterexample search")

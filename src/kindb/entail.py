@@ -190,7 +190,8 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
             report = m.classify()
         except UnsupportedMonoid as exc:
             raise UnclassifiedMonoid(f"cannot classify {m.name}: {exc}") from exc
-    if m.is_finite and sum(1 for _ in m.elements()) == 1:
+    # a finite positive monoid is nontrivial iff it has a nonzero idempotent
+    if m.is_finite and m.nonzero_idempotent() is None:
         raise UnsupportedMonoid("entailment requires a non-trivial monoid")
 
     balance_added = balance_instances(sigma, tau) - sigma if balanced else set()

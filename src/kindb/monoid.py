@@ -14,11 +14,14 @@ rationals under addition, naturals under max, and the monogenic quotients
 ``monogenic:m0,l`` ({0..m0+l-1} generated by 1 with the congruence
 m0 = m0+l).  Arbitrary finite monoids load from an explicit operation table
 and are validated exhaustively.
+
+Finite monoids need no search to classify: the multiples of a nonzero a
+eventually cycle, the cycle holds an idempotent, and positivity keeps it
+nonzero, so every nontrivial finite monoid is self absorptive.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -35,8 +38,7 @@ Element = Union[int, Fraction, str]
 
 UNBOUNDED = "unbounded"
 
-DEFAULT_K_BOUND = 8
-DEFAULT_MAX_TABLE_SIZE = 64
+MAX_TABLE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,12 @@ class PropertyReport:
     ``weakly_absorptive``: some nonzero a, b satisfy a + b = b (exactly the
     negation of weak cancellativity).
     ``self_absorptive``: some nonzero b satisfies b + b = b.
-    ``k_absorptive_max``: the largest k (up to the probe bound) admitting a
-    chain a_0..a_k of nonzero elements with a_i + a_{i+1} = a_{i+1}; the
-    string ``"unbounded"`` when a nonzero idempotent certifies chains of
-    every length.
+    ``k_absorptive_max``: the largest k admitting a chain a_0..a_k of
+    nonzero elements with a_i + a_{i+1} = a_{i+1}, or the string
+    ``"unbounded"`` when chains of every length exist.  It is 0 for the
+    naturals, the rationals and the trivial monoid, and ``"unbounded"`` for
+    every other builtin and finite monoid, where a nonzero idempotent
+    repeats forever.
     ``countably_absorptive``: an infinite such chain exists.
     """
 
@@ -165,7 +169,7 @@ class MonoidSpec:
 
     # -- classification --------------------------------------------------------
 
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
+    def classify(self) -> PropertyReport:
         raise NotImplementedError
 
     @property
@@ -245,7 +249,7 @@ class BooleanMonoid(MonoidSpec):
     def leq(self, a, b):
         return self.check(a) <= self.check(b)
 
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
+    def classify(self) -> PropertyReport:
         return _IDEMPOTENT_REPORT
 
     def parse_element(self, text):
@@ -288,7 +292,7 @@ class NaturalsMonoid(MonoidSpec):
             raise NotSubtractable(f"{b} is not below {a}")
         return a - b
 
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
+    def classify(self) -> PropertyReport:
         return _CANCELLATIVE_REPORT
 
     def parse_element(self, text):
@@ -337,7 +341,7 @@ class NonnegRationalsMonoid(MonoidSpec):
             raise NotSubtractable(f"{b} is not below {a}")
         return a - b
 
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
+    def classify(self) -> PropertyReport:
         return _CANCELLATIVE_REPORT
 
     def parse_element(self, text):
@@ -372,7 +376,7 @@ class MaxNaturalsMonoid(MonoidSpec):
     def leq(self, a, b):
         return self.check(a) <= self.check(b)
 
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
+    def classify(self) -> PropertyReport:
         return _IDEMPOTENT_REPORT
 
     def nonzero_idempotent(self):
@@ -429,11 +433,18 @@ class MonogenicMonoid(MonoidSpec):
         return (s - self.index) % self.period + self.index
 
     def leq(self, a, b):
+        # every cycle element is reached from any a; below the cycle a sum
+        # never wraps, so a + c = b is plain integer addition
         a, b = self.check(a), self.check(b)
-        return any(self.add(a, c) == b for c in self.elements())
+        return b >= self.index or a <= b
 
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-        return _classify_finite(self, k_bound)
+    def classify(self) -> PropertyReport:
+        # the order is total; it is antisymmetric only if the cycle is a point
+        return _finite_report(True, True, self.period == 1)
+
+    def nonzero_idempotent(self):
+        # the cycle element that is a multiple of the period
+        return -(-self.index // self.period) * self.period
 
     def parse_element(self, text):
         try:
@@ -453,17 +464,16 @@ class TableMonoid(MonoidSpec):
 
     The table is validated exhaustively at construction: closure, identity,
     commutativity, associativity, and positivity.  The associativity check is
-    cubic in the carrier size, so tables are capped (64 elements by default).
+    cubic in the carrier size, so tables are capped at 64 elements.
     """
 
     def __init__(self, elements: list[str], op: dict[tuple[str, str], str],
-                 zero: str, name: str = "table",
-                 max_elements: int = DEFAULT_MAX_TABLE_SIZE):
+                 zero: str, name: str = "table"):
         if len(elements) != len(set(elements)):
             raise InvalidMonoidTable("duplicate element names")
-        if len(elements) > max_elements:
+        if len(elements) > MAX_TABLE_SIZE:
             raise InvalidMonoidTable(
-                f"table has {len(elements)} elements, exceeding the cap of {max_elements}")
+                f"table has {len(elements)} elements, exceeding the cap of {MAX_TABLE_SIZE}")
         if zero not in elements:
             raise InvalidMonoidTable(f"zero element {zero!r} is not in the carrier")
         self._elements = tuple(elements)
@@ -485,6 +495,10 @@ class TableMonoid(MonoidSpec):
                     raise InvalidMonoidTable(f"missing op entry for {a},{b}")
         self._op = table
         self._validate()
+        self._key = ("table", self._elements, zero, tuple(sorted(table.items())))
+        # the natural order: b is above a iff b is in a's reach set
+        self._reach = {a: frozenset(table[(a, c)] for c in self._elements)
+                       for a in self._elements}
 
     def _validate(self) -> None:
         els = self._elements
@@ -531,20 +545,14 @@ class TableMonoid(MonoidSpec):
         return self._op[(self.check(a), self.check(b))]
 
     def leq(self, a, b):
-        a, b = self.check(a), self.check(b)
-        return any(self.add(a, c) == b for c in self._elements)
+        return self.check(b) in self._reach[self.check(a)]
 
-    def monus(self, a, b):
-        if not self.has_total_wc_order:
-            raise UnsupportedMonoid(f"{self.name} lacks a total weakly cancellative order")
-        a, b = self.check(a), self.check(b)
-        for c in self._elements:
-            if self.add(b, c) == a:
-                return c
-        raise NotSubtractable(f"{b} is not below {a}")
-
-    def classify(self, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-        return _classify_finite(self, k_bound)
+    def classify(self) -> PropertyReport:
+        reach, els = self._reach, self._elements
+        total = all(b in reach[a] or a in reach[b] for a in els for b in els)
+        antisymmetric = all(a == b or not (b in reach[a] and a in reach[b])
+                            for a in els for b in els)
+        return _finite_report(self.nonzero_idempotent() is not None, total, antisymmetric)
 
     def parse_element(self, text):
         return self.check(text)
@@ -553,8 +561,7 @@ class TableMonoid(MonoidSpec):
         return self.check(value)
 
     def key(self):
-        return ("table", self._elements, self._zero,
-                tuple(sorted(self._op.items())))
+        return self._key
 
     def as_dict(self) -> dict:
         op = {}
@@ -564,59 +571,25 @@ class TableMonoid(MonoidSpec):
         return {"elements": list(self._elements), "zero": self._zero, "op": op}
 
 
-@functools.lru_cache(maxsize=256)
-def _classify_finite(m: MonoidSpec, k_bound: int) -> PropertyReport:
-    carrier = list(m.elements())
-    zero = m.zero
-    nonzero = [x for x in carrier if x != zero]
-
-    positive = all(
-        m.add(a, b) != zero
-        for a in carrier for b in carrier
-        if a != zero or b != zero
-    )
-    absorptions = {(a, b) for a in nonzero for b in nonzero if m.add(a, b) == b}
-    wa = bool(absorptions)
-    sa = any(a == b for a, b in absorptions)
-    # A finite carrier bounds every absorption chain, so an infinite chain
-    # exists exactly when the absorption graph has a cycle; commutativity
-    # collapses every cycle to a nonzero idempotent.
-    ca = sa
-    if sa:
-        k_max: Union[int, str] = UNBOUNDED
-    else:
-        k_max = 0
-        frontier = set(nonzero)
-        for k in range(1, k_bound + 1):
-            frontier = {b for a, b in absorptions if a in frontier}
-            if not frontier:
-                break
-            k_max = k
-
-    leq = {(a, b) for a in carrier for b in carrier
-           if any(m.add(a, c) == b for c in carrier)}
-    total = all((a, b) in leq or (b, a) in leq for a in carrier for b in carrier)
-    antisym = all(not ((a, b) in leq and (b, a) in leq) or a == b
-                  for a in carrier for b in carrier)
-
+def _finite_report(absorptive: bool, total: bool, antisymmetric: bool) -> PropertyReport:
+    """The report of a finite positive monoid.  It is weakly absorptive iff
+    it has a nonzero idempotent, which it has iff it is nontrivial (see the
+    module docstring); the idempotent then gives chains of every length,
+    and the trivial monoid has no chain at all."""
     return PropertyReport(
-        positive=positive,
-        weakly_cancellative=not wa,
-        weakly_absorptive=wa,
-        self_absorptive=sa,
-        k_absorptive_max=k_max,
-        countably_absorptive=ca,
+        positive=True,
+        weakly_cancellative=not absorptive,
+        weakly_absorptive=absorptive,
+        self_absorptive=absorptive,
+        k_absorptive_max=UNBOUNDED if absorptive else 0,
+        countably_absorptive=absorptive,
         natural_order_total=total,
-        natural_order_antisymmetric=antisym,
+        natural_order_antisymmetric=antisymmetric,
         provenance="computed",
     )
 
 
 # -- module-level operation surface -------------------------------------------
-
-def classify(m: MonoidSpec, k_bound: int = DEFAULT_K_BOUND) -> PropertyReport:
-    return m.classify(k_bound)
-
 
 def embed_naturals(m: MonoidSpec, b: Element, n: int) -> Element:
     """The n-fold sum n*b, with 0*b = 0.
@@ -658,8 +631,7 @@ def monogenic(index: int, period: int) -> MonogenicMonoid:
     return MonogenicMonoid(index, period)
 
 
-def table_from_dict(spec: dict, name: str = "table",
-                    max_elements: int = DEFAULT_MAX_TABLE_SIZE) -> TableMonoid:
+def table_from_dict(spec: dict, name: str = "table") -> TableMonoid:
     """Load a finite monoid from its JSON form.
 
     Expected shape: ``{"elements": [...], "zero": "0", "op": {"a,b": "c", ...}}``
@@ -681,7 +653,7 @@ def table_from_dict(spec: dict, name: str = "table",
         if len(parts) != 2:
             raise ParseError(f"malformed op key {key!r}; expected 'a,b'")
         op[(parts[0], parts[1])] = value
-    return TableMonoid(elements, op, zero, name=name, max_elements=max_elements)
+    return TableMonoid(elements, op, zero, name=name)
 
 
 def parse_monoid(spec: Union[str, dict, MonoidSpec]) -> MonoidSpec:

@@ -22,7 +22,9 @@ from kindb.monoid import (
     MAX_NATURALS,
     NATURALS,
     NONNEG_RATIONALS,
+    UNBOUNDED,
     MonoidSpec,
+    PropertyReport,
     monogenic,
 )
 
@@ -245,3 +247,55 @@ def reference_plus_chase(db: KDatabase, sigma, step_limit: int = 10_000) -> Chas
         steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
         idle = 0
     return ChaseTrace(db.copy(), steps, outcome, make_database(db.schema, m, work))
+
+
+# -- reference classifier --------------------------------------------------------
+
+def reference_classify(m: MonoidSpec, k_bound: int = 8) -> PropertyReport:
+    """Classify a finite monoid from the definitions: a positivity scan over
+    every pair, the absorbing pairs, an absorption-chain frontier probed up
+    to ``k_bound`` steps, and the natural order by witness search."""
+    carrier = list(m.elements())
+    zero = m.zero
+    nonzero = [x for x in carrier if x != zero]
+
+    positive = all(
+        m.add(a, b) != zero
+        for a in carrier for b in carrier
+        if a != zero or b != zero
+    )
+    absorptions = {(a, b) for a in nonzero for b in nonzero if m.add(a, b) == b}
+    wa = bool(absorptions)
+    sa = any(a == b for a, b in absorptions)
+    # A finite carrier bounds every absorption chain, so an infinite chain
+    # exists exactly when the absorption graph has a cycle; commutativity
+    # collapses every cycle to a nonzero idempotent.
+    ca = sa
+    if sa:
+        k_max = UNBOUNDED
+    else:
+        k_max = 0
+        frontier = set(nonzero)
+        for k in range(1, k_bound + 1):
+            frontier = {b for a, b in absorptions if a in frontier}
+            if not frontier:
+                break
+            k_max = k
+
+    leq = {(a, b) for a in carrier for b in carrier
+           if any(m.add(a, c) == b for c in carrier)}
+    total = all((a, b) in leq or (b, a) in leq for a in carrier for b in carrier)
+    antisym = all(not ((a, b) in leq and (b, a) in leq) or a == b
+                  for a in carrier for b in carrier)
+
+    return PropertyReport(
+        positive=positive,
+        weakly_cancellative=not wa,
+        weakly_absorptive=wa,
+        self_absorptive=sa,
+        k_absorptive_max=k_max,
+        countably_absorptive=ca,
+        natural_order_total=total,
+        natural_order_antisymmetric=antisym,
+        provenance="computed",
+    )

@@ -152,6 +152,11 @@ def test_classify_builtin(capsys, workspace):
     assert code == 0 and json.loads(out)["weakly_absorptive"] is True
 
 
+def test_classify_large_monogenic(capsys):
+    code, out, _ = run(capsys, "classify", "monogenic:100000,100000")
+    assert code == 0 and json.loads(out)["k_absorptive_max"] == "unbounded"
+
+
 def test_classify_invalid_table(capsys, tmp_path):
     bad = tmp_path / "table.json"
     bad.write_text(json.dumps({

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_classify
+from kindb.entail import decide_entailment
 from kindb.errors import (
     ElementError,
     InvalidMonoidTable,
@@ -9,12 +11,14 @@ from kindb.errors import (
     ParseError,
     UnsupportedMonoid,
 )
+from kindb.ind import parse_ind
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
     NATURALS,
     NONNEG_RATIONALS,
     UNBOUNDED,
+    MonogenicMonoid,
     PropertyReport,
     TableMonoid,
     embed_naturals,
@@ -22,6 +26,8 @@ from kindb.monoid import (
     parse_monoid,
     table_from_dict,
 )
+
+from test_acceptance import _fixture_tables
 
 MONO23 = monogenic(2, 3)
 
@@ -149,6 +155,57 @@ def test_classify_monogenic_computed():
     assert not r.natural_order_antisymmetric
 
 
+# the finite tables of the entail-mix benchmark workload
+ENTAIL_MIX_TABLES = [
+    {"elements": ["0", "a", "b"], "zero": "0",
+     "op": {"0,0": "0", "0,a": "a", "0,b": "b", "a,a": "a", "a,b": "b", "b,b": "b"}},
+    {"elements": ["0", "1", "2", "3"], "zero": "0",
+     "op": {f"{x},{y}": str(min(x + y, 3)) for x in range(4) for y in range(x, 4)}},
+    {"elements": ["0", "p", "q", "t"], "zero": "0",
+     "op": {"0,0": "0", "0,p": "p", "0,q": "q", "0,t": "t", "p,p": "p", "q,q": "q",
+            "t,t": "t", "p,q": "t", "p,t": "t", "q,t": "t"}},
+]
+
+
+def test_classify_matches_reference():
+    cases = [(f"monogenic-{i}-{p}", monogenic(i, p))
+             for i in range(1, 13) for p in range(1, 13)]
+    cases += _fixture_tables()
+    cases += [(f"entail-mix-{n}", table_from_dict(t)) for n, t in enumerate(ENTAIL_MIX_TABLES)]
+    cases.append(("trivial", TableMonoid(["0"], {("0", "0"): "0"}, "0")))
+    for name, m in cases:
+        assert m.classify().as_dict() == reference_classify(m).as_dict(), name
+        els = list(m.elements())
+        for a in els:
+            reach = {m.add(a, c) for c in els}
+            for b in els:
+                assert m.leq(a, b) == (b in reach), (name, a, b)
+        idem = next((b for b in els if b != m.zero and m.add(b, b) == b), None)
+        assert m.nonzero_idempotent() == idem, name
+
+
+def test_large_monogenic_carrier_is_never_walked(monkeypatch):
+    def walk(self):
+        raise AssertionError("the carrier was walked")
+
+    monkeypatch.setattr(MonogenicMonoid, "elements", walk)
+    m = monogenic(100000, 100000)
+    r = m.classify()
+    assert r.self_absorptive and r.k_absorptive_max == UNBOUNDED
+    assert r.natural_order_total and not r.natural_order_antisymmetric
+    assert m.leq(3, 99999) and m.leq(199999, 100000) and not m.leq(99999, 3)
+    assert m.nonzero_idempotent() == 100000
+    sigma = {parse_ind("R[A] <= S[B]"), parse_ind("S[] <= R[]")}
+    for tau, entailed in ((parse_ind("R[A] <= S[B]"), True),
+                          (parse_ind("S[B] <= R[A]"), False)):
+        verdict = decide_entailment(sigma, tau, m)
+        expected = decide_entailment(sigma, tau, BOOLEAN)
+        assert verdict.entailed == expected.entailed == entailed
+        assert verdict.method == expected.method
+        if not entailed:
+            assert verdict.countermodel.construction == expected.countermodel.construction
+
+
 def test_property_report_invariants_enforced():
     with pytest.raises(ValueError):
         PropertyReport(True, True, True, False, 0, False, True, True, "declared")
@@ -216,15 +273,15 @@ def test_table_monoid_associativity_check():
             "0")
 
 
+def max_table(size):
+    els = [str(i) for i in range(size)]
+    return els, {(a, b): max(a, b, key=int) for a in els for b in els}
+
+
 def test_table_size_cap():
-    els = [str(i) for i in range(5)]
-    op = {}
-    for i in range(5):
-        for j in range(5):
-            op[(els[i], els[j])] = els[min(max(i, j), 4)]
-    TableMonoid(els, op, "0")  # max semantics, fine
+    TableMonoid(*max_table(5), "0")  # max semantics, fine
     with pytest.raises(InvalidMonoidTable, match="cap"):
-        TableMonoid(els, op, "0", max_elements=3)
+        TableMonoid(*max_table(65), "0")
 
 
 def test_parse_monoid_names():
