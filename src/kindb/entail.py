@@ -4,7 +4,8 @@ For a weakly cancellative monoid, the standard rules plus weak symmetry are
 sound and complete, and entailment coincides with satisfaction of the query
 dependency in the additive chase of its canonical start by the weak-symmetry
 closure of the assumptions.  For a weakly absorptive monoid, the standard
-rules alone are sound and complete, and the classical chase decides.  Each
+rules alone are sound and complete, and the classical chase of the
+canonical start by the assumptions themselves decides.  Each
 positive answer carries a checked derivation.  Each negative answer carries
 a countermodel, re-verified before it is returned.  The constructions are:
 
@@ -28,7 +29,7 @@ mentioned in the input; countermodels then come out balanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .errors import (
@@ -76,20 +77,15 @@ class Countermodel:
     database: KDatabase
     construction: str
     params: dict = field(default_factory=dict)
-    verified: bool = True
 
     def to_json(self) -> dict:
         m = self.database.monoid
-        params = {}
-        for key, value in self.params.items():
-            if isinstance(value, (list, tuple)):
-                params[key] = [m.format_element(v) for v in value]
-            else:
-                params[key] = m.format_element(value)
+        params = {key: [m.format_element(v) for v in value]
+                  if isinstance(value, (list, tuple)) else m.format_element(value)
+                  for key, value in self.params.items()}
         return {
             "construction": self.construction,
             "params": params,
-            "verified": self.verified,
             "database": dump_database(self.database),
         }
 
@@ -112,54 +108,63 @@ class EntailmentVerdict:
 
 def balance_instances(sigma: Iterable[IND], tau: IND) -> set[IND]:
     """All arity-0 dependencies between relations mentioned by the input."""
-    mentioned: set[str] = set()
-    for s in list(sigma) + [tau]:
-        mentioned.add(s.lhs_rel)
-        mentioned.add(s.rhs_rel)
+    mentioned = {r for s in [*sigma, tau] for r in (s.lhs_rel, s.rhs_rel)}
     return {IND(a, (), b, ()) for a in mentioned for b in mentioned if a != b}
 
 
 def _relabel_balance(proof: DerivationProof, balance: set[IND]) -> DerivationProof:
     if proof.rule == RULE_AXIOM and proof.conclusion in balance:
         return DerivationProof(RULE_BALANCE, proof.conclusion)
-    if not proof.premises:
-        return proof
-    return DerivationProof(
-        proof.rule, proof.conclusion,
-        tuple(_relabel_balance(p, balance) for p in proof.premises),
-        proof.indices)
+    return replace(proof, premises=tuple(_relabel_balance(p, balance)
+                                         for p in proof.premises))
 
 
-def _verify(db: KDatabase, sigma: Iterable[IND], tau: IND, balanced: bool) -> bool:
-    return (all(satisfies(db, s) for s in sigma)
+def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IND],
+              tau: IND, balanced: bool) -> Countermodel:
+    """The countermodel, once ``sigma`` holds in ``db``, ``tau`` fails there
+    and, when ``balanced``, ``db`` is balanced."""
+    if not (all(satisfies(db, s) for s in sigma)
             and not satisfies(db, tau)
-            and (not balanced or is_balanced(db)))
+            and (not balanced or is_balanced(db))):
+        raise CountermodelError(
+            f"{construction} countermodel failed verification for {format_ind(tau)}")
+    return Countermodel(db, construction, params)
 
 
 def _plus_chased(tau: IND, schema: Schema, closed: Iterable[IND],
-                 cfg: ChaseConfig) -> KDatabase:
+                 config: Optional[ChaseConfig]) -> KDatabase:
     """The additive chase of the canonical start by a weak-symmetry-closed
     set, which terminates."""
-    trace = plus_chase(canonical_start(tau, schema, NATURALS), closed, cfg)
+    trace = plus_chase(canonical_start(tau, schema, NATURALS), closed, config)
     if not trace.terminated:
         raise ChaseBudgetExceeded(
             "additive chase exceeded its budget on a weak-symmetry-closed set")
     return trace.result
 
 
-def _embed(counts: KDatabase, m: MonoidSpec, b: Element) -> KDatabase:
-    """Re-weight each count n of a naturals-annotated database to n*b."""
-    return make_database(counts.schema, m, {
+def _embedded(counts: KDatabase, m: MonoidSpec, b: Element, sigma: Iterable[IND],
+              tau: IND, balanced: bool) -> Countermodel:
+    """Re-weight each count n of an additive chase result to n*b, and verify."""
+    db = make_database(counts.schema, m, {
         rel: {row: embed_naturals(m, b, n) for row, n in kr.weights.items()}
         for rel, kr in counts.relations.items()})
+    return _verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
 
 
-def _stratify(chased: KDatabase, m: MonoidSpec, chain: list[Element],
-              n: int) -> KDatabase:
-    """Weight each tuple of a classical chase result a_{n - degree}."""
-    return make_database(chased.schema, m, {
-        rel: {row: chain[n - degree(row)] for row in kr.weights}
+def _classical_chased(tau: IND, schema: Schema, sigma: Iterable[IND]) -> KDatabase:
+    """The classical chase of the canonical start by ``sigma``."""
+    return classical_chase(canonical_start(tau, schema, BOOLEAN), sigma)[0]
+
+
+def _stratified(chased: KDatabase, m: MonoidSpec, chain: list[Element],
+                sigma: Iterable[IND], tau: IND, balanced: bool) -> Countermodel:
+    """Weight each tuple of a classical chase result a_{n - degree}, n the
+    arity of ``tau``, and verify."""
+    db = make_database(chased.schema, m, {
+        rel: {row: chain[tau.arity - degree(row)] for row in kr.weights}
         for rel, kr in chased.relations.items()})
+    construction = CONSTRUCTION_SA if len(set(chain)) == 1 else CONSTRUCTION_CA
+    return _verified(db, construction, {"chain": chain}, sigma, tau, balanced)
 
 
 def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
@@ -171,12 +176,13 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     annotated in ``m`` (optionally restricted to balanced databases).
 
     Dispatch follows the monoid's property report; pass ``report`` to
-    override the declared classification of a builtin.  One saturation and
-    one chase of the canonical start serve the verdict, the proof and the
-    countermodel; the two must agree on ``tau``.
+    override the declared classification of a builtin.  One saturation
+    gives the proof, and one chase of the canonical start the countermodel:
+    the additive chase by the saturated set when weakly cancellative, the
+    classical chase by the assumptions (balance instances included) when
+    weakly absorptive.  The saturation and the chase must agree on ``tau``.
     """
     sigma = set(sigma)
-    cfg = config or ChaseConfig()
     if schema is None:
         schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
     for s in sigma | {tau}:
@@ -203,9 +209,9 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     proofs = saturate(sigma_star, RuleSystem.STANDARD_WS if wc else RuleSystem.STANDARD,
                       schema)
     if wc:
-        chased = _plus_chased(tau, schema, proofs, cfg)
+        chased = _plus_chased(tau, schema, proofs, config)
     else:
-        chased, _ = classical_chase(canonical_start(tau, schema, BOOLEAN), proofs)
+        chased = _classical_chased(tau, schema, sigma_star)
     derivable = tau.is_reflexive or tau in proofs
     if satisfies(chased, tau) != derivable:
         raise CountermodelError(
@@ -219,20 +225,14 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
         return EntailmentVerdict(True, method, proof=proof)
 
     if wc:
-        b = m.some_nonzero()
-        cm = Countermodel(_embed(chased, m, b), CONSTRUCTION_WC_EMBED, {"generator": b})
+        cm = _embedded(chased, m, m.some_nonzero(), sigma, tau, balanced)
     else:
         idem = m.nonzero_idempotent()
         if idem is None:
             raise UnsupportedMonoid(
                 f"no countermodel construction applies to {m.name}: "
                 "it has no nonzero idempotent")
-        chain = [idem] * (tau.arity + 1)
-        cm = Countermodel(_stratify(chased, m, chain, tau.arity),
-                          CONSTRUCTION_SA, {"chain": chain})
-    if not _verify(cm.database, sigma, tau, balanced):
-        raise CountermodelError(
-            f"countermodel failed verification for {format_ind(tau)}")
+        cm = _stratified(chased, m, [idem] * (tau.arity + 1), sigma, tau, balanced)
     return EntailmentVerdict(False, method, countermodel=cm)
 
 
@@ -250,13 +250,10 @@ def build_countermodel_wc(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     if b == m.zero:
         raise ElementError("the embedding generator must be nonzero")
     chased = _plus_chased(tau, schema, saturate(sigma, RuleSystem.STANDARD_WS, schema),
-                          config or ChaseConfig())
+                          config)
     if satisfies(chased, tau):
         raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-    db = _embed(chased, m, b)
-    if not _verify(db, sigma, tau, balanced=False):
-        raise CountermodelError("embedded chase result failed verification")
-    return Countermodel(db, CONSTRUCTION_WC_EMBED, {"generator": b})
+    return _embedded(chased, m, b, sigma, tau, balanced=False)
 
 
 def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
@@ -271,20 +268,14 @@ def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     n = tau.arity
     if len(chain) < n + 1:
         raise InvalidChain(f"need {n + 1} chain values for an arity-{n} dependency")
-    for c in chain:
-        if c == m.zero:
-            raise InvalidChain("chain values must be nonzero")
+    if m.zero in chain:
+        raise InvalidChain("chain values must be nonzero")
     for lo, hi in zip(chain, chain[1:]):
         if m.add(lo, hi) != hi:
             raise InvalidChain(
                 f"{m.format_element(lo)} + {m.format_element(hi)} "
                 f"!= {m.format_element(hi)}")
-    result, _ = classical_chase(canonical_start(tau, schema, BOOLEAN),
-                                sorted(sigma, key=format_ind))
-    if satisfies(result, tau):
+    chased = _classical_chased(tau, schema, sigma)
+    if satisfies(chased, tau):
         raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-    db = _stratify(result, m, chain, n)
-    if not _verify(db, sigma, tau, balanced=False):
-        raise CountermodelError("stratified chase weighting failed verification")
-    construction = CONSTRUCTION_SA if len(set(chain)) == 1 else CONSTRUCTION_CA
-    return Countermodel(db, construction, {"chain": chain})
+    return _stratified(chased, m, chain, sigma, tau, balanced=False)

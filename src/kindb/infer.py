@@ -5,23 +5,24 @@ Three rule systems are supported:
 * ``STANDARD``: reflexivity, transitivity, projection/permutation;
 * ``STANDARD_WS``: the standard rules plus weak symmetry (from
   ``R[A..] <= S[B..]`` and ``S[] <= R[]`` conclude ``S[B..] <= R[A..]``);
-* ``STANDARD_BALANCE``: the standard rules plus weak symmetry, plain
-  symmetry, and the balance axioms ``S[] <= R[]`` for all relation pairs.
+* ``STANDARD_BALANCE``: the standard rules, weak symmetry and the balance
+  axioms ``S[] <= R[]`` for all relation pairs.
 
-Derivability is decided by saturating a finite universe: projection and
-permutation commute with every other rule, so any derivation can be
-normalized to apply them to axioms only.  The universe therefore consists of
-all index selections of the assumption set, the arity-0 reflexivity
-instances (needed as weak-symmetry premises on a single relation), and the
-balance instances where applicable, closed under transitivity and weak
-symmetry.  Plain symmetry adds nothing to that closure: with the balance
-axioms every arity-0 premise holds, so weak symmetry already yields every
-inverse.  Attribute sequences are never invented, so the closure is finite
-and polynomial in the assumption set for fixed arity.
-
-Reflexivity instances of positive arity are tautologies and act as
-identities under transitivity; they are omitted from closures and handled
-directly when a queried conclusion is itself reflexive.
+Derivability is reachability.  Projection and permutation commute with the
+other rules, so a derivation applies them to assumptions only and is then a
+path of transitivity steps over dependency sides R[X], from the query's left
+side to its right one (the derivation sequences of Casanova, Fagin and
+Papadimitriou, JCSS 28(1), 1984).  The edges are the index selections of the
+assumptions, reflexive ones left out, and under the balance axioms their
+instances at arity 0.  Weak symmetry reverses an edge R[X] -> S[Y] when S[]
+reaches R[] (when R = S, the premise is the reflexivity instance R[] <= R[]).
+Reversing edges of the assumptions is enough: weak symmetry on a derived
+X <= Y needs Y.rel[] <= X.rel[], so every relation on the path lies in one
+strongly connected component of the arity-0 graph, each edge on the path can
+be reversed, and the reversed path derives Y <= X.  Reversed edges have
+positive arity, so arity-0 reachability is read before any is added.  A
+path's proof composes its edges pairwise, level by level, so its depth is
+logarithmic in the path's length.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ RULE_BALANCE = "balance"
 RULE_PROJECT_PERMUTE = "project_permute"
 RULE_TRANSITIVITY = "transitivity"
 RULE_WEAK_SYMMETRY = "weak_symmetry"
-RULE_SYMMETRY = "symmetry"
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ def project_permute(sigma: IND, indices: Iterable[int]) -> IND:
     for i in indices:
         if not 0 <= i < sigma.arity:
             raise IndexOutOfRange(f"position {i} outside arity {sigma.arity}")
-    return IND(
-        sigma.lhs_rel, tuple(sigma.lhs_attrs[i] for i in indices),
-        sigma.rhs_rel, tuple(sigma.rhs_attrs[i] for i in indices),
-    )
+    return IND(sigma.lhs_rel, tuple(sigma.lhs_attrs[i] for i in indices),
+               sigma.rhs_rel, tuple(sigma.rhs_attrs[i] for i in indices))
 
 
 def transitivity(s1: IND, s2: IND) -> IND:
@@ -108,68 +106,81 @@ def weak_symmetry(sigma: IND, empty_ind: IND) -> IND:
     return inverse(sigma)
 
 
-# -- saturation -------------------------------------------------------------------
+# -- derivability by search --------------------------------------------------------
 
-def _index_selections(arity: int):
-    for length in range(arity + 1):
-        yield from itertools.permutations(range(arity), length)
+Node = tuple[str, tuple[str, ...]]  # a dependency side R[X]
+Graph = dict[Node, dict[Node, DerivationProof]]  # the edges out of each side
 
 
-def _closure(sigma: Iterable[IND], system: RuleSystem,
-             schema: Schema) -> dict[IND, DerivationProof]:
-    proofs: dict[IND, DerivationProof] = {}
+def _search(graph: Graph, source: Node) -> dict[Node, Optional[Node]]:
+    """Breadth-first search: each node reachable from ``source``, the source
+    included, mapped to its parent on a shortest path (the source to None)."""
+    parents: dict[Node, Optional[Node]] = {source: None}
+    queue = [source]
+    for node in queue:  # the queue grows as it is read
+        for succ in graph.get(node, ()):
+            if succ not in parents:
+                parents[succ] = node
+                queue.append(succ)
+    return parents
 
-    def admit(ind: IND, proof: DerivationProof) -> bool:
-        if ind.is_reflexive and ind.arity > 0:
-            return False
-        if ind in proofs:
-            return False
-        proofs[ind] = proof
-        return True
+
+def _path_proof(graph: Graph, parents: dict[Node, Optional[Node]],
+                target: Node) -> DerivationProof:
+    """The proof of source <= ``target`` along a search's parent links, its
+    edges composed pairwise so that its depth is logarithmic in its length."""
+    steps = []
+    while parents[target] is not None:
+        steps.append(graph[parents[target]][target])
+        target = parents[target]
+    steps.reverse()
+    while len(steps) > 1:
+        paired = [DerivationProof(RULE_TRANSITIVITY,
+                                  transitivity(p1.conclusion, p2.conclusion), (p1, p2))
+                  for p1, p2 in zip(steps[::2], steps[1::2])]
+        steps = paired + steps[2 * len(paired):]
+    return steps[0]
+
+
+def _graph(sigma: Iterable[IND], system: RuleSystem, schema: Schema) -> Graph:
+    """The edges of ``system`` over the assumptions."""
+    graph: Graph = {}
+
+    def add(proof: DerivationProof) -> None:
+        c = proof.conclusion
+        graph.setdefault((c.lhs_rel, c.lhs_attrs), {}).setdefault(
+            (c.rhs_rel, c.rhs_attrs), proof)
 
     for member in sorted(set(sigma), key=ind_sort_key):
         validate_ind(member, schema)
         axiom = DerivationProof(RULE_AXIOM, member)
-        for selection in _index_selections(member.arity):
-            image = project_permute(member, selection)
-            if selection == tuple(range(member.arity)):
-                admit(image, axiom)
-            else:
-                admit(image, DerivationProof(
-                    RULE_PROJECT_PERMUTE, image, (axiom,), tuple(selection)))
-
-    for rel in sorted(schema.relations):
-        seed = IND(rel, (), rel, ())
-        admit(seed, DerivationProof(RULE_REFLEXIVITY, seed))
+        for length in range(member.arity + 1):
+            for selection in itertools.permutations(range(member.arity), length):
+                image = project_permute(member, selection)
+                if not image.is_reflexive:
+                    add(axiom if selection == tuple(range(member.arity)) else
+                        DerivationProof(RULE_PROJECT_PERMUTE, image, (axiom,), selection))
 
     if system.has_balance:
-        for lhs in sorted(schema.relations):
-            for rhs in sorted(schema.relations):
-                if lhs != rhs:
-                    axiom = IND(lhs, (), rhs, ())
-                    admit(axiom, DerivationProof(RULE_BALANCE, axiom))
+        for lhs, rhs in itertools.permutations(sorted(schema.relations), 2):
+            add(DerivationProof(RULE_BALANCE, IND(lhs, (), rhs, ())))
 
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(proofs, key=ind_sort_key)
-        for s1 in members:
-            for s2 in members:
-                if s1.rhs_rel == s2.lhs_rel and s1.rhs_attrs == s2.lhs_attrs:
-                    conclusion = transitivity(s1, s2)
-                    if admit(conclusion, DerivationProof(
-                            RULE_TRANSITIVITY, conclusion, (proofs[s1], proofs[s2]))):
-                        changed = True
-        if system.has_weak_symmetry:
-            for s1 in members:
-                premise = IND(s1.rhs_rel, (), s1.lhs_rel, ())
-                if premise in proofs:
-                    conclusion = inverse(s1)
-                    if admit(conclusion, DerivationProof(
-                            RULE_WEAK_SYMMETRY, conclusion,
-                            (proofs[s1], proofs[premise]))):
-                        changed = True
-    return proofs
+    if system.has_weak_symmetry:
+        reach: dict[Node, dict[Node, Optional[Node]]] = {}  # arity-0 searches
+        for proof in [p for out in graph.values() for p in out.values()
+                      if p.conclusion.arity > 0]:
+            c = proof.conclusion
+            back, forth = (c.rhs_rel, ()), (c.lhs_rel, ())
+            if back == forth:
+                premise = DerivationProof(RULE_REFLEXIVITY, IND(c.lhs_rel, (), c.lhs_rel, ()))
+            else:
+                if back not in reach:
+                    reach[back] = _search(graph, back)
+                if forth not in reach[back]:
+                    continue
+                premise = _path_proof(graph, reach[back], forth)
+            add(DerivationProof(RULE_WEAK_SYMMETRY, inverse(c), (proof, premise)))
+    return graph
 
 
 def saturate(sigma: Iterable[IND], system: RuleSystem,
@@ -177,72 +188,71 @@ def saturate(sigma: Iterable[IND], system: RuleSystem,
     """All derivable non-reflexive dependencies in the finite universe, plus
     the arity-0 reflexivity seeds, in canonical order, each mapped to its
     derivation."""
-    proofs = _closure(sigma, system, schema)
+    graph = _graph(sigma, system, schema)
+    seeds = (IND(rel, (), rel, ()) for rel in schema.relations)
+    proofs = {seed: DerivationProof(RULE_REFLEXIVITY, seed) for seed in seeds}
+    for source in graph:
+        parents = _search(graph, source)
+        for target in parents:
+            if target != source:
+                proofs[IND(*source, *target)] = _path_proof(graph, parents, target)
     return {ind: proofs[ind] for ind in sorted(proofs, key=ind_sort_key)}
 
 
 def derives(sigma: Iterable[IND], tau: IND, system: RuleSystem,
             schema: Schema) -> tuple[bool, Optional[DerivationProof]]:
-    """Decide derivability and return a checked proof on success."""
+    """Decide derivability by one search from ``tau``'s left side and return
+    a checked proof on success."""
     validate_ind(tau, schema)
     sigma = set(sigma)
     if tau.is_reflexive:
         proof = DerivationProof(RULE_REFLEXIVITY, tau)
-        check_proof(proof, sigma)
-        return True, proof
-    proofs = _closure(sigma, system, schema)
-    if tau in proofs:
-        proof = proofs[tau]
-        check_proof(proof, sigma)
-        return True, proof
-    return False, None
+    else:
+        graph = _graph(sigma, system, schema)
+        parents = _search(graph, (tau.lhs_rel, tau.lhs_attrs))
+        target = (tau.rhs_rel, tau.rhs_attrs)
+        if target not in parents:
+            return False, None
+        proof = _path_proof(graph, parents, target)
+    check_proof(proof, sigma)
+    return True, proof
 
 
 # -- proof validation and serialization ---------------------------------------------
 
+def _yields(node: DerivationProof, sigma: set) -> bool:
+    """Whether the rule of ``node`` yields its conclusion from its premises."""
+    rule, conclusion = node.rule, node.conclusion
+    premises = [p.conclusion for p in node.premises]
+    if rule == RULE_AXIOM:
+        return conclusion in sigma
+    if rule == RULE_REFLEXIVITY:
+        return conclusion.is_reflexive
+    if rule == RULE_BALANCE:
+        return conclusion.arity == 0
+    if rule == RULE_PROJECT_PERMUTE:
+        return node.indices is not None and project_permute(*premises, node.indices) == conclusion
+    if rule == RULE_TRANSITIVITY:
+        return transitivity(*premises) == conclusion
+    if rule == RULE_WEAK_SYMMETRY:
+        return weak_symmetry(*premises) == conclusion
+    raise ProofError(f"unknown rule {rule!r}")
+
+
 def check_proof(proof: DerivationProof, sigma: Iterable[IND]) -> None:
     """Re-validate every node of a derivation tree; raises ProofError."""
     sigma = set(sigma)
-
-    def walk(node: DerivationProof) -> None:
+    stack = [proof]
+    while stack:
+        node = stack.pop()
         try:
-            _check_node(node, sigma)
+            valid = _yields(node, sigma)
         except (MiddleMismatch, PremiseMismatch, DuplicateIndex, IndexOutOfRange) as exc:
-            raise ProofError(f"malformed step concluding {format_ind(node.conclusion)}: {exc}") from exc
-        for premise in node.premises:
-            walk(premise)
-
-    def _check_node(node: DerivationProof, sigma: set) -> None:
-        rule, conclusion = node.rule, node.conclusion
-        if rule == RULE_AXIOM:
-            if conclusion not in sigma:
-                raise ProofError(f"axiom leaf {format_ind(conclusion)} is not an assumption")
-        elif rule == RULE_REFLEXIVITY:
-            if not conclusion.is_reflexive:
-                raise ProofError(f"{format_ind(conclusion)} is not a reflexivity instance")
-        elif rule == RULE_BALANCE:
-            if conclusion.arity != 0:
-                raise ProofError(f"balance instance {format_ind(conclusion)} has positive arity")
-        elif rule == RULE_PROJECT_PERMUTE:
-            (premise,) = node.premises
-            if node.indices is None or project_permute(premise.conclusion, node.indices) != conclusion:
-                raise ProofError(f"projection step does not yield {format_ind(conclusion)}")
-        elif rule == RULE_TRANSITIVITY:
-            p1, p2 = node.premises
-            if transitivity(p1.conclusion, p2.conclusion) != conclusion:
-                raise ProofError(f"transitivity step does not yield {format_ind(conclusion)}")
-        elif rule == RULE_WEAK_SYMMETRY:
-            p1, p2 = node.premises
-            if weak_symmetry(p1.conclusion, p2.conclusion) != conclusion:
-                raise ProofError(f"weak symmetry step does not yield {format_ind(conclusion)}")
-        elif rule == RULE_SYMMETRY:
-            (premise,) = node.premises
-            if inverse(premise.conclusion) != conclusion:
-                raise ProofError(f"symmetry step does not yield {format_ind(conclusion)}")
-        else:
-            raise ProofError(f"unknown rule {rule!r}")
-
-    walk(proof)
+            raise ProofError(f"malformed {node.rule} step concluding "
+                             f"{format_ind(node.conclusion)}: {exc}") from exc
+        if not valid:
+            raise ProofError(f"{node.rule} step does not yield {format_ind(node.conclusion)}")
+        stack.extend(node.premises)
 
 
 def proof_to_json(proof: DerivationProof) -> dict:
@@ -255,12 +265,6 @@ def proof_to_json(proof: DerivationProof) -> dict:
 
 
 def proof_to_text(proof: DerivationProof, indent: int = 0) -> str:
-    pad = "  " * indent
-    head = f"{pad}{format_ind(proof.conclusion)}   [{proof.rule}"
-    if proof.indices is not None:
-        head += f" {list(proof.indices)}"
-    head += "]"
-    lines = [head]
-    for premise in proof.premises:
-        lines.append(proof_to_text(premise, indent + 1))
-    return "\n".join(lines)
+    indices = "" if proof.indices is None else f" {list(proof.indices)}"
+    head = f"{'  ' * indent}{format_ind(proof.conclusion)}   [{proof.rule}{indices}]"
+    return "\n".join([head] + [proof_to_text(p, indent + 1) for p in proof.premises])

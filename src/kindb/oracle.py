@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Iterable, Optional
 
 from .entail import Countermodel
@@ -45,12 +44,19 @@ def _support_choices(candidates: list[tuple], max_tuples: int) -> list[tuple]:
     return out
 
 
-def _space_size(candidate_counts: list[int], pool_size: int, max_tuples: int) -> int:
+def _space_size(row_counts: list[int], pool_size: int, max_tuples: int, cap: int) -> int:
+    """The number of candidate databases, or a partial count once it passes ``cap``."""
     total = 1
-    for count in candidate_counts:
-        per_rel = sum(math.comb(count, k) * pool_size ** k
-                      for k in range(min(max_tuples, count) + 1))
+    for count in row_counts:
+        per_rel = term = 1  # term: comb(count, k) * pool_size ** k, from k = 0
+        for k in range(1, min(max_tuples, count) + 1):
+            term = term * (count - k + 1) * pool_size // k
+            per_rel += term
+            if term == 0 or per_rel > cap:
+                break
         total *= per_rel
+        if total > cap:
+            break
     return total
 
 
@@ -111,13 +117,10 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
     pool = sorted({m.check(w) for w in weight_pool if m.check(w) != m.zero},
                   key=m.format_element)
     rels = sorted(schema.relations)
-    candidates = {rel: sorted(itertools.product(constants, repeat=len(schema.relations[rel])))
-                  for rel in rels}
-
-    size = _space_size([len(candidates[r]) for r in rels], len(pool), max_tuples)
-    if size > max_candidates:
+    if _space_size([len(constants) ** len(schema.relations[r]) for r in rels], len(pool),
+                   max_tuples, max_candidates) > max_candidates:
         raise SearchSpaceTooLarge(
-            f"{size} candidate databases exceed the cap of {max_candidates}")
+            f"the search space holds more than the cap of {max_candidates} candidate databases")
     if not pool:
         return None
 
@@ -158,7 +161,8 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
                 return False
         return True
 
-    support_lists = [_support_choices(candidates[rel], max_tuples) for rel in rels]
+    support_lists = [_support_choices(sorted(itertools.product(
+        constants, repeat=len(schema.relations[rel]))), max_tuples) for rel in rels]
     cache: dict = {}
 
     def weightings(i: int, j: int) -> list:

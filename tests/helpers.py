@@ -15,7 +15,19 @@ from kindb.chase import (
     ChaseTrace,
     star_padded,
 )
-from kindb.ind import IND, format_ind, ind_sort_key, infer_schema, parse_ind
+from kindb.ind import IND, format_ind, ind_sort_key, infer_schema, inverse, parse_ind, validate_ind
+from kindb.infer import (
+    RULE_AXIOM,
+    RULE_BALANCE,
+    RULE_PROJECT_PERMUTE,
+    RULE_REFLEXIVITY,
+    RULE_TRANSITIVITY,
+    RULE_WEAK_SYMMETRY,
+    DerivationProof,
+    RuleSystem,
+    project_permute,
+    transitivity,
+)
 from kindb.kdb import STAR, KDatabase, Schema, make_database, schema_of
 from kindb.monoid import (
     BOOLEAN,
@@ -105,6 +117,15 @@ def ind_universe(schema: Schema, max_arity: int) -> list[IND]:
                     if len(lhs) == len(rhs):
                         out.append(IND(lhs_rel, lhs, rhs_rel, rhs))
     return out
+
+
+@st.composite
+def schemas(draw):
+    """A hypothesis strategy: one to four relations, R, S, T and U, each of
+    arity zero to three."""
+    rels = ["R", "S", "T", "U"][:draw(st.integers(1, 4))]
+    return schema_of({rel: tuple(f"{rel}{i}" for i in range(draw(st.integers(0, 3))))
+                      for rel in rels})
 
 
 @st.composite
@@ -247,6 +268,70 @@ def reference_plus_chase(db: KDatabase, sigma, step_limit: int = 10_000) -> Chas
         steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
         idle = 0
     return ChaseTrace(db.copy(), steps, outcome, make_database(db.schema, m, work))
+
+
+# -- reference saturation --------------------------------------------------------
+
+def reference_closure(sigma, system: RuleSystem, schema: Schema) -> dict:
+    """Derivability as a fixpoint: every index selection of the assumptions,
+    the arity-0 reflexivity seeds and, where they apply, the balance
+    instances, closed under transitivity and weak symmetry by rescanning
+    every pair until nothing changes.  Positive-arity reflexive facts are
+    left out.  Returns each fact with its derivation, in canonical order."""
+    proofs = {}
+
+    def admit(ind, proof) -> bool:
+        if ind.is_reflexive and ind.arity > 0:
+            return False
+        if ind in proofs:
+            return False
+        proofs[ind] = proof
+        return True
+
+    for member in sorted(set(sigma), key=ind_sort_key):
+        validate_ind(member, schema)
+        axiom = DerivationProof(RULE_AXIOM, member)
+        for length in range(member.arity + 1):
+            for selection in itertools.permutations(range(member.arity), length):
+                image = project_permute(member, selection)
+                if selection == tuple(range(member.arity)):
+                    admit(image, axiom)
+                else:
+                    admit(image, DerivationProof(
+                        RULE_PROJECT_PERMUTE, image, (axiom,), tuple(selection)))
+
+    for rel in sorted(schema.relations):
+        seed = IND(rel, (), rel, ())
+        admit(seed, DerivationProof(RULE_REFLEXIVITY, seed))
+
+    if system.has_balance:
+        for lhs in sorted(schema.relations):
+            for rhs in sorted(schema.relations):
+                if lhs != rhs:
+                    axiom = IND(lhs, (), rhs, ())
+                    admit(axiom, DerivationProof(RULE_BALANCE, axiom))
+
+    changed = True
+    while changed:
+        changed = False
+        members = sorted(proofs, key=ind_sort_key)
+        for s1 in members:
+            for s2 in members:
+                if s1.rhs_rel == s2.lhs_rel and s1.rhs_attrs == s2.lhs_attrs:
+                    conclusion = transitivity(s1, s2)
+                    if admit(conclusion, DerivationProof(
+                            RULE_TRANSITIVITY, conclusion, (proofs[s1], proofs[s2]))):
+                        changed = True
+        if system.has_weak_symmetry:
+            for s1 in members:
+                premise = IND(s1.rhs_rel, (), s1.lhs_rel, ())
+                if premise in proofs:
+                    conclusion = inverse(s1)
+                    if admit(conclusion, DerivationProof(
+                            RULE_WEAK_SYMMETRY, conclusion,
+                            (proofs[s1], proofs[premise]))):
+                        changed = True
+    return {ind: proofs[ind] for ind in sorted(proofs, key=ind_sort_key)}
 
 
 # -- reference classifier --------------------------------------------------------

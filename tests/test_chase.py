@@ -10,8 +10,10 @@ from helpers import (
     dependencies,
     reference_marginal_at,
     reference_plus_chase,
+    schemas,
     witness_pool,
 )
+from kindb.entail import balance_instances
 from kindb.errors import MonoidMismatch, UnsupportedMonoid
 from kindb.chase import (
     ChaseConfig,
@@ -26,7 +28,7 @@ from kindb.chase import (
     trace_to_json,
 )
 from kindb.ind import IND, parse_ind, satisfies, satisfies_all
-from kindb.infer import RuleSystem, saturate
+from kindb.infer import RuleSystem, derives, saturate
 from kindb.kdb import (
     STAR,
     load_database,
@@ -287,3 +289,14 @@ def test_plus_chase_matches_reference_round_robin(inputs):
                 lhs = reference_marginal_at(state.relation(s.lhs_rel).weights, lhs_pos, witness, m)
                 rhs = reference_marginal_at(state.relation(s.rhs_rel).weights, rhs_pos, witness, m)
                 assert applicable(state, s, witness) == (not m.leq(lhs, rhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classical_chase_by_sigma_decides_standard_derivability(data):
+    schema = data.draw(schemas())
+    sigma = set(data.draw(st.lists(dependencies(schema), max_size=5)))
+    tau = data.draw(dependencies(schema))
+    for deps in (sigma, sigma | balance_instances(sigma, tau)):
+        chased, _ = classical_chase(canonical_start(tau, schema, BOOLEAN), deps)
+        assert satisfies(chased, tau) == derives(deps, tau, RuleSystem.STANDARD, schema)[0]

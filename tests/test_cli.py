@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from kindb.cli import main
+from kindb.ind import parse_ind, satisfies
+from kindb.kdb import load_database
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -89,7 +91,10 @@ def test_entail_boolean_countermodel(capsys, workspace):
     assert code == 1
     doc = json.loads(out)
     assert doc["entailed"] is False
-    assert doc["countermodel"]["verified"] is True
+    db = load_database(doc["countermodel"]["database"], allow_star=True)
+    assert all(satisfies(db, parse_ind(s)) for s in ("Budget[proj] <= Grant[proj]",
+                                                      "Grant[] <= Budget[]"))
+    assert not satisfies(db, parse_ind("Grant[proj] <= Budget[proj]"))
 
 
 def test_entail_unknown_monoid(capsys, workspace):
@@ -179,7 +184,9 @@ def test_oracle_command(capsys, tmp_path):
     }))
     code, out, _ = run(capsys, "oracle", str(config))
     assert code == 1
-    assert json.loads(out)["counterexample"]["verified"] is True
+    db = load_database(json.loads(out)["counterexample"]["database"])
+    assert all(satisfies(db, parse_ind(s)) for s in ("R[A] <= S[B]", "S[] <= R[]"))
+    assert not satisfies(db, parse_ind("S[B] <= R[A]"))
     config.write_text(json.dumps({
         "monoid": "naturals",
         "sigma": ["R[A] <= S[B]", "S[] <= R[]"],
@@ -213,6 +220,17 @@ def test_oracle_malformed_config(capsys, tmp_path, doc, field):
     code, _, err = run(capsys, "oracle", str(config))
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+def test_oracle_refuses_an_oversized_space_before_building_it(capsys, tmp_path):
+    # 20 ** 3 candidate rows per relation, up to all of them in one database
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({**ORACLE, "sigma": ["R[A,B,C] <= S[D,E,F]"],
+                                  "tau": "S[D,E,F] <= R[A,B,C]",
+                                  "adom": [f"c{i}" for i in range(20)], "max_tuples": 8000}))
+    code, _, err = run(capsys, "oracle", str(config))
+    assert code == 2
+    assert "cap of 2000000" in err and "Traceback" not in err
 
 
 def test_outputs_are_deterministic(capsys, workspace):

@@ -20,7 +20,7 @@ from kindb.entail import (
 )
 from kindb.ind import parse_ind, satisfies
 from kindb.infer import DerivationProof
-from kindb.kdb import is_balanced
+from kindb.kdb import is_balanced, load_database
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
@@ -62,7 +62,7 @@ def test_dichotomy_witness():
         verdict = decide_entailment(DICH_SIGMA, DICH_TAU, m)
         assert not verdict.entailed
         cm = verdict.countermodel
-        assert cm is not None and cm.verified
+        assert cm is not None
         assert all(satisfies(cm.database, s) for s in DICH_SIGMA)
         assert not satisfies(cm.database, DICH_TAU)
 
@@ -83,7 +83,9 @@ def test_entailment_is_schema_insensitive_to_extra_attributes():
     wide = schema_of({"R": ("A", "Z"), "S": ("B", "W")})
     assert decide_entailment(DICH_SIGMA, DICH_TAU, NATURALS, schema=wide).entailed
     verdict = decide_entailment(DICH_SIGMA, DICH_TAU, BOOLEAN, schema=wide)
-    assert not verdict.entailed and verdict.countermodel.verified
+    assert not verdict.entailed
+    db = verdict.countermodel.database
+    assert all(satisfies(db, s) for s in DICH_SIGMA) and not satisfies(db, DICH_TAU)
 
 
 def test_unmentioned_relations_do_not_break_balanced_countermodels():
@@ -140,7 +142,7 @@ def test_balance_axiom_only_valid_when_balanced():
     tau = parse_ind("R[] <= S[]")
     assert decide_entailment(set(), tau, NATURALS, balanced=True).entailed
     verdict = decide_entailment(set(), tau, NATURALS, balanced=False)
-    assert not verdict.entailed and verdict.countermodel.verified
+    assert not verdict.entailed and not satisfies(verdict.countermodel.database, tau)
 
 
 def test_wc_countermodel_embedding():
@@ -176,7 +178,8 @@ def test_ca_countermodel_stratified_chain_on_monogenic():
     # the only absorptions into an element are (3,2), (3,3), (3,4): chain [3, 3]
     cm = build_countermodel_ca(DICH_SIGMA, DICH_TAU, MONO23, [3, 3])
     assert cm.construction == CONSTRUCTION_SA
-    assert cm.verified
+    assert all(satisfies(cm.database, s) for s in DICH_SIGMA)
+    assert not satisfies(cm.database, DICH_TAU)
     with pytest.raises(InvalidChain):
         build_countermodel_ca(DICH_SIGMA, DICH_TAU, MONO23, [1, 2])
     with pytest.raises(InvalidChain):
@@ -189,7 +192,8 @@ def test_ca_countermodel_mixed_chain():
     # 3 + 2 = 2 in the monogenic quotient, so [3, 2] is a genuine two-step chain
     cm = build_countermodel_ca(DICH_SIGMA, DICH_TAU, MONO23, [3, 2])
     assert cm.construction == CONSTRUCTION_CA
-    assert cm.verified
+    assert all(satisfies(cm.database, s) for s in DICH_SIGMA)
+    assert not satisfies(cm.database, DICH_TAU)
 
 
 def test_ca_rejects_derivable_tau():
@@ -226,7 +230,8 @@ def test_verdict_json():
     verdict2 = decide_entailment(DICH_SIGMA, DICH_TAU, BOOLEAN)
     doc2 = verdict2.to_json()
     assert doc2["entailed"] is False
-    assert doc2["countermodel"]["verified"] is True
+    db = load_database(doc2["countermodel"]["database"], allow_star=True)
+    assert all(satisfies(db, s) for s in DICH_SIGMA) and not satisfies(db, DICH_TAU)
     assert doc2["countermodel"]["construction"] == CONSTRUCTION_SA
 
 

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import dependencies, reference_closure, schemas
+from kindb.entail import decide_entailment
 from kindb.errors import (
     DuplicateIndex,
     IndexOutOfRange,
@@ -22,6 +26,7 @@ from kindb.infer import (
     weak_symmetry,
 )
 from kindb.kdb import schema_of
+from kindb.monoid import BOOLEAN, NATURALS
 
 C1 = parse_ind("Expense[proj,year] <= Budget[proj,year]")
 C2 = parse_ind("Budget[proj] <= Grant[proj]")
@@ -157,6 +162,12 @@ def test_check_proof_rejects_bogus():
         check_proof(wrong_trans, {C1, C2})
 
 
+def test_check_proof_rejects_plain_symmetry_as_unknown_rule():
+    node = DerivationProof("symmetry", C3, (DerivationProof("axiom", C2),))
+    with pytest.raises(ProofError, match="unknown rule 'symmetry'"):
+        check_proof(node, {C2})
+
+
 def test_proof_json_shape():
     ok, proof = derives({C2, C4}, C3, RuleSystem.STANDARD_WS, BUDGET_SCHEMA)
     doc = proof_to_json(proof)
@@ -175,3 +186,53 @@ def test_ws_needs_reflexivity_seed_for_single_relation():
 
 def test_infer_schema_matches_manual():
     assert infer_schema([C1, C2, C4]).relations["Expense"] == ("proj", "year")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_search_matches_reference_closure(data):
+    schema = data.draw(schemas())
+    sigma = set(data.draw(st.lists(dependencies(schema), max_size=5)))
+    tau = data.draw(dependencies(schema))
+    rels = schema.relations
+    for system in RuleSystem:
+        closed = saturate(sigma, system, schema)
+        assert list(closed) == list(reference_closure(sigma, system, schema))
+        axioms = sigma | ({IND(a, (), b, ()) for a in rels for b in rels if a != b}
+                          if system.has_balance else set())
+        for ind, proof in closed.items():
+            assert proof.conclusion == ind
+            check_proof(proof, axioms)
+        ok, proof = derives(sigma, tau, system, schema)
+        assert ok == (tau.is_reflexive or tau in closed)
+        assert proof is None if not ok else proof.conclusion == tau
+
+
+def chain(k, n):
+    """k relations of arity n, a full-arity dependency from each to the next
+    and an arity-0 one back; the query is the inverse of the whole chain."""
+    attrs = tuple(f"A{j}" for j in range(n))
+    rels = [f"R{i}" for i in range(k)]
+    sigma = set()
+    for lhs, rhs in zip(rels, rels[1:]):
+        sigma |= {IND(lhs, attrs, rhs, attrs), IND(rhs, (), lhs, ())}
+    return sigma, IND(rels[-1], attrs, rels[0], attrs), schema_of({r: attrs for r in rels})
+
+
+def test_chain_saturates_in_one_component():
+    sigma, tau, schema = chain(20, 3)
+    # 20 relations of 15 positive-arity sides each reach the matching side of
+    # the 19 others, plus 20 * 19 arity-0 pairs and 20 seeds
+    assert len(saturate(sigma, RuleSystem.STANDARD_WS, schema)) == 6_100
+    assert decide_entailment(sigma, tau, NATURALS).entailed
+    assert not decide_entailment(sigma, tau, BOOLEAN).entailed
+
+
+def test_long_chain_proof_stays_shallow():
+    sigma, _, schema = chain(1_200, 1)
+    tau = IND("R0", ("A0",), "R1199", ("A0",))
+    ok, proof = derives(sigma, tau, RuleSystem.STANDARD, schema)
+    assert ok and proof.conclusion == tau
+    check_proof(proof, sigma)
+    assert proof_to_json(proof)["conclusion"] == format_ind(tau)
+    assert proof_to_text(proof).count("[axiom]") == 1_199
