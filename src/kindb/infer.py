@@ -64,6 +64,10 @@ RULE_PROJECT_PERMUTE = "project_permute"
 RULE_TRANSITIVITY = "transitivity"
 RULE_WEAK_SYMMETRY = "weak_symmetry"
 
+# The number of premises each rule takes.
+_RULE_PREMISES = {RULE_AXIOM: 0, RULE_REFLEXIVITY: 0, RULE_BALANCE: 0,
+                 RULE_PROJECT_PERMUTE: 1, RULE_TRANSITIVITY: 2, RULE_WEAK_SYMMETRY: 2}
+
 
 @dataclass(frozen=True)
 class DerivationProof:
@@ -224,6 +228,11 @@ def _yields(node: DerivationProof, sigma: set) -> bool:
     """Whether the rule of ``node`` yields its conclusion from its premises."""
     rule, conclusion = node.rule, node.conclusion
     premises = [p.conclusion for p in node.premises]
+    if rule not in _RULE_PREMISES:
+        raise ProofError(f"unknown rule {rule!r}")
+    if len(premises) != _RULE_PREMISES[rule]:
+        raise ProofError(f"malformed {rule} step concluding {format_ind(conclusion)}: "
+                         f"{len(premises)} premises, the rule takes {_RULE_PREMISES[rule]}")
     if rule == RULE_AXIOM:
         return conclusion in sigma
     if rule == RULE_REFLEXIVITY:
@@ -234,9 +243,7 @@ def _yields(node: DerivationProof, sigma: set) -> bool:
         return node.indices is not None and project_permute(*premises, node.indices) == conclusion
     if rule == RULE_TRANSITIVITY:
         return transitivity(*premises) == conclusion
-    if rule == RULE_WEAK_SYMMETRY:
-        return weak_symmetry(*premises) == conclusion
-    raise ProofError(f"unknown rule {rule!r}")
+    return weak_symmetry(*premises) == conclusion
 
 
 def check_proof(proof: DerivationProof, sigma: Iterable[IND]) -> None:

@@ -12,19 +12,21 @@ then lexicographically, weight assignments lexicographically over the sorted
 nonzero pool, so a found counterexample is the least one in this order and
 stable across runs.
 
-The search visits the candidates in that order without building each one.
-For every relation and support it lists the weight assignments once, with
-their marginals on the positions the dependencies read (and their totals,
-when balanced).  It then gives the relations weights one at a time, in name
-order, and checks each dependency as soon as both of its relations have
-weights: a failed assumption, a query that already holds (it reads only its
-own two relations) or, when balanced, an unequal total skips every candidate
-below.  The first survivor is re-verified through ``satisfies``.
+The search visits classes of candidates.  Each distinct marginal on the
+positions the dependencies read gets a small id; a support's weight
+assignments that agree on all of them (and on the total, when balanced) form
+a class, which passes and fails every check alike, so its least member
+stands for it.  A support's classes extend those of its parent, the support
+one row shorter.  Its profile, its classes that pass its relation's own
+checks, decides all it can take part in, so only the first support of each
+profile is visited.  The relations take profiles in name order, keeping
+every choice of classes that passes the dependencies on the relations so
+far; reflexive ones hold everywhere and are not checked.  The first
+survivor is re-verified through ``satisfies``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Optional
 
@@ -60,24 +62,25 @@ def _space_size(row_counts: list[int], pool_size: int, max_tuples: int, cap: int
     return total
 
 
-def _weightings(pool: Iterable, rows: tuple, positions: Iterable[tuple], plus,
-                balanced: bool) -> list[tuple]:
-    """Each weight assignment of ``rows`` over ``pool`` in lexicographic order,
-    as ``(weights, marginals, total)``: ``marginals`` maps each of
-    ``positions`` to the summed weight of each point, and ``total`` is the
-    sum of all weights when ``balanced``, else None.  ``plus`` adds."""
-    groups = {}
-    for pos in positions:
-        points: dict = {}
-        for i, row in enumerate(rows):
-            points.setdefault(tuple(row[p] for p in pos), []).append(i)
-        groups[pos] = points.items()
-    return [(weights,
-             {pos: {point: functools.reduce(plus, [weights[i] for i in idx])
-                    for point, idx in points}
-              for pos, points in groups.items()},
-             functools.reduce(plus, weights, 0) if balanced else None)
-            for weights in itertools.product(pool, repeat=len(rows))]
+def _support_classes(rows: tuple, parent: dict, points: tuple, pool_size: int,
+                     advance, plus, balanced: bool) -> dict:
+    """Each class of weight assignments of ``rows`` (weight ids 1 to
+    ``pool_size``), keyed by its marginal ids and, when ``balanced``, total,
+    with its least member, in that order.  ``parent`` holds the classes of
+    ``rows[:-1]`` (or of no rows) and ``points`` each row's points."""
+    if not rows:
+        return parent
+    out: dict = {}
+    # A later member of a parent class gives only later assignments, in the
+    # same child classes, so its least member stands for it.
+    for key, least in parent.items():
+        for w in range(1, pool_size + 1):
+            child = tuple([advance(mid, point, w) for mid, point in zip(key, points[-1])])
+            if balanced:
+                child += (plus(key[-1], w),)
+            if child not in out:
+                out[child] = least + (w,)
+    return out
 
 
 def brute_force_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, *,
@@ -121,27 +124,33 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
                    max_tuples, max_candidates) > max_candidates:
         raise SearchSpaceTooLarge(
             f"the search space holds more than the cap of {max_candidates} candidate databases")
-    if not pool:
+    if not pool or tau.is_reflexive:
         return None
 
-    # Each dependency is checked at the depth (index in ``rels``) where both
-    # of its relations have weights, once per weighting when it reads one
-    # relation.  An assumption must hold and the query must fail.
+    # A reflexive dependency holds in every database.  Each other one is
+    # checked at the depth (index in ``rels``) where both of its relations
+    # have weights; an assumption must hold and the query must fail.  A check
+    # reads one slot of each side's class key: the slot of its positions.
     checks = [(rels.index(d.lhs_rel), schema.positions(d.lhs_rel, d.lhs_attrs),
                rels.index(d.rhs_rel), schema.positions(d.rhs_rel, d.rhs_attrs), want)
-              for d, want in [(member, True) for member in sigma] + [(tau, False)]]
+              for d, want in [(member, True) for member in sigma] + [(tau, False)]
+              if not d.is_reflexive]
     depths = range(len(rels))
-    used = [{c[1] for c in checks if c[0] == i} | {c[3] for c in checks if c[2] == i}
+    used = [sorted({c[1] for c in checks if c[0] == i} | {c[3] for c in checks if c[2] == i})
             for i in depths]
+    checks = [(lhs, used[lhs].index(lpos), rhs, used[rhs].index(rpos), want)
+              for lhs, lpos, rhs, rpos, want in checks]
     own = [[c for c in checks if c[0] == c[2] == i] for i in depths]
     cross = [[c for c in checks if c[0] != c[2] and max(c[0], c[2]) == i] for i in depths]
 
-    # Elements are small integers: zero is 0 and the pool is 1, 2, ...  The
-    # monoid computes each sum and each comparison of two elements once.
+    # Elements are small integers: zero is 0 and the pool is 1, 2, ...  So
+    # are marginals, with 0 the empty one.  The monoid computes each sum
+    # once, and each check is decided once per pair of marginals.
     values = [m.zero] + pool
     ids = {value: i for i, value in enumerate(values)}
-    sums: dict = {}
-    known: dict = {}
+    margs: list = [{}]
+    marg_ids = {frozenset(): 0}
+    sums, steps, known, verdicts = {}, {}, {}, {}
 
     def plus(a: int, b: int) -> int:
         if (a, b) not in sums:
@@ -152,64 +161,100 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
             sums[a, b] = ids[value]
         return sums[a, b]
 
-    def holds(lhs_marg: dict, rhs_marg: dict) -> bool:
-        for point, a in lhs_marg.items():
-            pair = (a, rhs_marg.get(point, 0))
-            if pair not in known:
-                known[pair] = m.leq(values[a], values[pair[1]])
-            if not known[pair]:
-                return False
-        return True
+    def advance(mid: int, point: tuple, w: int) -> int:
+        step = (mid, point, w)
+        if step not in steps:
+            marg = margs[mid].copy()
+            marg[point] = plus(marg.get(point, 0), w)
+            steps[step] = marg_ids.setdefault(frozenset(marg.items()), len(margs))
+            if steps[step] == len(margs):
+                margs.append(marg)
+        return steps[step]
 
-    support_lists = [_support_choices(sorted(itertools.product(
-        constants, repeat=len(schema.relations[rel]))), max_tuples) for rel in rels]
-    cache: dict = {}
+    def leq(a: int, b: int) -> bool:
+        if (a, b) not in known:
+            known[a, b] = m.leq(values[a], values[b])
+        return known[a, b]
 
-    def weightings(i: int, j: int) -> list:
-        """The weightings of support ``j`` of relation ``i`` that pass the
-        relation's own checks, built on first use."""
-        if (i, j) not in cache:
-            cache[i, j] = [
-                entry for entry in _weightings(range(1, len(pool) + 1), support_lists[i][j],
-                                               used[i], plus, balanced)
-                if all(holds(entry[1][lpos], entry[1][rpos]) == want
-                       for _, lpos, _, rpos, want in own[i])]
-        return cache[i, j]
+    def holds(lhs: int, rhs: int) -> bool:
+        if (lhs, rhs) not in verdicts:
+            rhs_marg = margs[rhs]
+            verdicts[lhs, rhs] = all(leq(a, rhs_marg.get(point, 0))
+                                     for point, a in margs[lhs].items())
+        return verdicts[lhs, rhs]
 
-    def descend(supports: tuple, chosen: list) -> bool:
-        """Give the relations weightings in order, depth first, skipping the
-        subtree under every failed check; true, with ``chosen`` filled, at the
-        first counterexample over these supports.  (Iterative: a recursive
-        closure would keep itself and the cache alive in a reference cycle.)"""
-        stack = [iter(weightings(0, supports[0]))]
-        while stack:
-            i = len(stack) - 1
-            for entry in stack[i]:
-                chosen[i] = entry
-                if (not balanced or entry[2] == chosen[0][2]) and all(
-                        holds(chosen[lhs][1][lpos], chosen[rhs][1][rpos]) == want
-                        for lhs, lpos, rhs, rpos, want in cross[i]):
-                    break
-            else:
-                stack.pop()
-                continue
-            if i + 1 == len(rels):
-                return True
-            stack.append(iter(weightings(i + 1, supports[i + 1])))
-        return False
+    rows_of = [sorted(itertools.product(constants, repeat=len(schema.relations[rel])))
+               for rel in rels]
+    support_lists = [_support_choices(rows, max_tuples) for rows in rows_of]
+    # A support's classes depend only on its rows' points, so they are kept
+    # by those (for supports that can still be parents) and built once.
+    points = [{row: tuple(tuple(row[p] for p in pos) for pos in used[i]) for row in rows_of[i]}
+              for i in depths]
+    start = [{(0,) * (len(used[i]) + balanced): ()} for i in depths]
+    tables: list = [{} for _ in rels]
+    seen: list = [set() for _ in rels]
+    firsts: list = [[] for _ in rels]
+    built = [0] * len(rels)
 
-    chosen: list = [None] * len(rels)
-    for supports in itertools.product(*(range(len(choices)) for choices in support_lists)):
-        if not descend(supports, chosen):
-            continue
-        db = make_database(schema, m, {
-            rel: dict(zip(support_lists[i][j], (values[w] for w in entry[0])))
-            for i, (rel, j, entry) in enumerate(zip(rels, supports, chosen))
-        })
-        # re-verify through the marginalization path before returning
-        if (any(not satisfies(db, member) for member in sigma)
-                or satisfies(db, tau)):
-            raise CountermodelError(
-                "incremental check and marginal semantics disagree")
-        return Countermodel(db, CONSTRUCTION_ENUMERATION, {})
-    return None
+    def profiles(i: int):
+        """The surviving classes of the first support of each nonempty
+        profile of relation ``i``, in support order, as (key, rows, least
+        member); built on first use and shared by every visit."""
+        for k in itertools.count():
+            while k == len(firsts[i]) and built[i] < len(support_lists[i]):
+                rows = support_lists[i][built[i]]
+                built[i] += 1
+                seq = tuple(points[i][row] for row in rows)
+                if seq in tables[i]:
+                    continue
+                classes = _support_classes(rows, tables[i].get(seq[:-1], start[i]), seq,
+                                           len(pool), advance, plus, balanced)
+                tables[i][seq] = classes if len(rows) < max_tuples else None
+                survivors = [(key, rows, least) for key, least in classes.items()
+                             if all(holds(key[lhs], key[rhs]) == want
+                                    for _, lhs, _, rhs, want in own[i])]
+                profile = tuple(key for key, _, _ in survivors)
+                if survivors and profile not in seen[i]:
+                    seen[i].add(profile)
+                    firsts[i].append(survivors)
+            if k == len(firsts[i]):
+                return
+            yield firsts[i][k]
+
+    def extend(frontier: list, classes: list, i: int):
+        """Each choice in ``frontier`` (a class per relation before ``i``)
+        extended by each of ``classes`` that passes the checks of depth ``i``."""
+        for picks in frontier:
+            for pick in classes:
+                picks_i = picks + (pick,)
+                if balanced and pick[0][-1] != picks_i[0][0][-1]:
+                    continue
+                for lhs, lpos, rhs, rpos, want in cross[i]:
+                    if holds(picks_i[lhs][0][lpos], picks_i[rhs][0][rpos]) != want:
+                        break
+                else:
+                    yield picks_i
+
+    # Depth first over profiles; the first surviving choice for the last
+    # relation is the least counterexample.
+    frontiers: list = [[()]] + [None] * len(rels)
+    stack, picks = [profiles(0)], None
+    while stack and picks is None:
+        i = len(stack) - 1
+        classes = next(stack[i], None)
+        if classes is None:
+            stack.pop()
+        elif i + 1 < len(rels):
+            frontiers[i + 1] = list(extend(frontiers[i], classes, i))
+            if frontiers[i + 1]:
+                stack.append(profiles(i + 1))
+        else:
+            picks = next(extend(frontiers[i], classes, i), None)
+    if picks is None:
+        return None
+    db = make_database(schema, m, {rel: dict(zip(rows, (values[w] for w in least)))
+                                   for rel, (_, rows, least) in zip(rels, picks)})
+    # re-verify through the marginalization path before returning
+    if any(not satisfies(db, member) for member in sigma) or satisfies(db, tau):
+        raise CountermodelError("incremental check and marginal semantics disagree")
+    return Countermodel(db, CONSTRUCTION_ENUMERATION, {})

@@ -168,6 +168,20 @@ def test_check_proof_rejects_plain_symmetry_as_unknown_rule():
         check_proof(node, {C2})
 
 
+@pytest.mark.parametrize("rule, premises", [
+    ("axiom", (DerivationProof("axiom", C2),)),
+    ("reflexivity", (DerivationProof("axiom", C2),)),
+    ("balance", (DerivationProof("axiom", C2),)),
+    ("project_permute", ()),
+    ("transitivity", (DerivationProof("axiom", C2),)),
+    ("weak_symmetry", (DerivationProof("axiom", C2),) * 3),
+])
+def test_check_proof_rejects_a_wrong_premise_count(rule, premises):
+    node = DerivationProof(rule, C2, premises, (0,) if rule == "project_permute" else None)
+    with pytest.raises(ProofError, match=f"malformed {rule} step"):
+        check_proof(node, {C2})
+
+
 def test_proof_json_shape():
     ok, proof = derives({C2, C4}, C3, RuleSystem.STANDARD_WS, BUDGET_SCHEMA)
     doc = proof_to_json(proof)
