@@ -46,10 +46,9 @@ from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
 from .infer import (
     RULE_AXIOM,
     RULE_BALANCE,
-    RULE_REFLEXIVITY,
     DerivationProof,
     RuleSystem,
-    check_proof,
+    derives,
     proof_to_json,
     saturate,
 )
@@ -176,11 +175,11 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     annotated in ``m`` (optionally restricted to balanced databases).
 
     Dispatch follows the monoid's property report; pass ``report`` to
-    override the declared classification of a builtin.  One saturation
-    gives the proof, and one chase of the canonical start the countermodel:
-    the additive chase by the saturated set when weakly cancellative, the
-    classical chase by the assumptions (balance instances included) when
-    weakly absorptive.  The saturation and the chase must agree on ``tau``.
+    override the declared classification of a builtin.  One search for
+    ``tau`` gives the verdict and the proof, and one chase of the canonical
+    start the countermodel: additive by the weak-symmetry closure when weakly
+    cancellative, classical by the assumptions when weakly absorptive (with
+    the balance instances, if any).  The search and the chase must agree.
     """
     sigma = set(sigma)
     if schema is None:
@@ -206,22 +205,17 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     method = METHOD_BALANCED if balanced else (
         METHOD_PLUS_CHASE if wc else METHOD_CLASSICAL_CHASE)
 
-    proofs = saturate(sigma_star, RuleSystem.STANDARD_WS if wc else RuleSystem.STANDARD,
-                      schema)
+    system = RuleSystem.STANDARD_WS if wc else RuleSystem.STANDARD
+    derivable, proof = derives(sigma_star, tau, system, schema)
     if wc:
-        chased = _plus_chased(tau, schema, proofs, config)
+        chased = _plus_chased(tau, schema, saturate(sigma_star, system, schema), config)
     else:
         chased = _classical_chased(tau, schema, sigma_star)
-    derivable = tau.is_reflexive or tau in proofs
     if satisfies(chased, tau) != derivable:
-        raise CountermodelError(
-            f"chase and saturation disagree on {format_ind(tau)}")
+        raise CountermodelError(f"chase and derivability disagree on {format_ind(tau)}")
 
     if derivable:
-        proof = proofs.get(tau) or DerivationProof(RULE_REFLEXIVITY, tau)
-        check_proof(proof, sigma_star)
-        if balance_added:
-            proof = _relabel_balance(proof, balance_added)
+        proof = _relabel_balance(proof, balance_added) if balance_added else proof
         return EntailmentVerdict(True, method, proof=proof)
 
     if wc:

@@ -20,9 +20,14 @@ Reversing edges of the assumptions is enough: weak symmetry on a derived
 X <= Y needs Y.rel[] <= X.rel[], so every relation on the path lies in one
 strongly connected component of the arity-0 graph, each edge on the path can
 be reversed, and the reversed path derives Y <= X.  Reversed edges have
-positive arity, so arity-0 reachability is read before any is added.  A
-path's proof composes its edges pairwise, level by level, so its depth is
-logarithmic in the path's length.
+positive arity, so arity-0 reachability is read before any is added.
+
+An edge records only how it is derived: an assumption and an index
+selection, a balance instance, or a reversal.  Proofs are built only along
+the path ``derives`` returns: each edge becomes an axiom or its projection, a
+balance leaf, or weak symmetry over the forward edge's proof and the arity-0
+path proof of its premise, and the edges are composed pairwise, so a proof's
+depth is logarithmic in the path's length.  ``saturate`` returns facts only.
 """
 
 from __future__ import annotations
@@ -113,7 +118,9 @@ def weak_symmetry(sigma: IND, empty_ind: IND) -> IND:
 # -- derivability by search --------------------------------------------------------
 
 Node = tuple[str, tuple[str, ...]]  # a dependency side R[X]
-Graph = dict[Node, dict[Node, DerivationProof]]  # the edges out of each side
+# How an edge is derived: (assumption, selection), RULE_BALANCE or RULE_WEAK_SYMMETRY
+EdgeTag = tuple[IND, tuple[int, ...]] | str
+Graph = dict[Node, dict[Node, EdgeTag]]  # the edges out of each side
 
 
 def _search(graph: Graph, source: Node) -> dict[Node, Optional[Node]]:
@@ -129,15 +136,32 @@ def _search(graph: Graph, source: Node) -> dict[Node, Optional[Node]]:
     return parents
 
 
+def _edge_proof(graph: Graph, lhs: Node, rhs: Node) -> DerivationProof:
+    """The proof of the edge ``lhs`` -> ``rhs``, read off how it was derived."""
+    tag, conclusion = graph[lhs][rhs], IND(*lhs, *rhs)
+    if tag == RULE_BALANCE:
+        return DerivationProof(RULE_BALANCE, conclusion)
+    if tag == RULE_WEAK_SYMMETRY:  # the premise lhs.rel[] <= rhs.rel[]
+        premise = _path_proof(graph, _search(graph, (lhs[0], ())), (rhs[0], ()))
+        return DerivationProof(RULE_WEAK_SYMMETRY, conclusion,
+                               (_edge_proof(graph, rhs, lhs), premise))
+    member, selection = tag
+    axiom = DerivationProof(RULE_AXIOM, member)
+    if selection == tuple(range(member.arity)):
+        return axiom
+    return DerivationProof(RULE_PROJECT_PERMUTE, conclusion, (axiom,), selection)
+
+
 def _path_proof(graph: Graph, parents: dict[Node, Optional[Node]],
                 target: Node) -> DerivationProof:
-    """The proof of source <= ``target`` along a search's parent links, its
-    edges composed pairwise so that its depth is logarithmic in its length."""
+    """The proof of source <= ``target`` along a search's parent links (the
+    reflexivity leaf when ``target`` is the source), its edges composed
+    pairwise so that its depth is logarithmic in its length."""
     steps = []
     while parents[target] is not None:
-        steps.append(graph[parents[target]][target])
+        steps.append(_edge_proof(graph, parents[target], target))
         target = parents[target]
-    steps.reverse()
+    steps = steps[::-1] or [DerivationProof(RULE_REFLEXIVITY, IND(*target, *target))]
     while len(steps) > 1:
         paired = [DerivationProof(RULE_TRANSITIVITY,
                                   transitivity(p1.conclusion, p2.conclusion), (p1, p2))
@@ -150,57 +174,39 @@ def _graph(sigma: Iterable[IND], system: RuleSystem, schema: Schema) -> Graph:
     """The edges of ``system`` over the assumptions."""
     graph: Graph = {}
 
-    def add(proof: DerivationProof) -> None:
-        c = proof.conclusion
-        graph.setdefault((c.lhs_rel, c.lhs_attrs), {}).setdefault(
-            (c.rhs_rel, c.rhs_attrs), proof)
+    def add(lhs: Node, rhs: Node, tag: EdgeTag) -> None:
+        graph.setdefault(lhs, {}).setdefault(rhs, tag)
 
     for member in sorted(set(sigma), key=ind_sort_key):
         validate_ind(member, schema)
-        axiom = DerivationProof(RULE_AXIOM, member)
         for length in range(member.arity + 1):
             for selection in itertools.permutations(range(member.arity), length):
-                image = project_permute(member, selection)
-                if not image.is_reflexive:
-                    add(axiom if selection == tuple(range(member.arity)) else
-                        DerivationProof(RULE_PROJECT_PERMUTE, image, (axiom,), selection))
+                lhs = (member.lhs_rel, tuple(member.lhs_attrs[i] for i in selection))
+                rhs = (member.rhs_rel, tuple(member.rhs_attrs[i] for i in selection))
+                if lhs != rhs:
+                    add(lhs, rhs, (member, selection))
 
     if system.has_balance:
         for lhs, rhs in itertools.permutations(sorted(schema.relations), 2):
-            add(DerivationProof(RULE_BALANCE, IND(lhs, (), rhs, ())))
+            add((lhs, ()), (rhs, ()), RULE_BALANCE)
 
     if system.has_weak_symmetry:
-        reach: dict[Node, dict[Node, Optional[Node]]] = {}  # arity-0 searches
-        for proof in [p for out in graph.values() for p in out.values()
-                      if p.conclusion.arity > 0]:
-            c = proof.conclusion
-            back, forth = (c.rhs_rel, ()), (c.lhs_rel, ())
-            if back == forth:
-                premise = DerivationProof(RULE_REFLEXIVITY, IND(c.lhs_rel, (), c.lhs_rel, ()))
-            else:
-                if back not in reach:
-                    reach[back] = _search(graph, back)
-                if forth not in reach[back]:
-                    continue
-                premise = _path_proof(graph, reach[back], forth)
-            add(DerivationProof(RULE_WEAK_SYMMETRY, inverse(c), (proof, premise)))
+        edges = [(lhs, rhs) for lhs, out in graph.items() for rhs in out if lhs[1]]
+        reach = {rel: _search(graph, (rel, ())) for rel in {rhs[0] for _, rhs in edges}}
+        for lhs, rhs in edges:  # a search reaches its source: R[] <= R[] when R = S
+            if (lhs[0], ()) in reach[rhs[0]]:
+                add(rhs, lhs, RULE_WEAK_SYMMETRY)
     return graph
 
 
-def saturate(sigma: Iterable[IND], system: RuleSystem,
-             schema: Schema) -> dict[IND, DerivationProof]:
+def saturate(sigma: Iterable[IND], system: RuleSystem, schema: Schema) -> list[IND]:
     """All derivable non-reflexive dependencies in the finite universe, plus
-    the arity-0 reflexivity seeds, in canonical order, each mapped to its
-    derivation."""
+    the arity-0 reflexivity seeds, in canonical order."""
     graph = _graph(sigma, system, schema)
-    seeds = (IND(rel, (), rel, ()) for rel in schema.relations)
-    proofs = {seed: DerivationProof(RULE_REFLEXIVITY, seed) for seed in seeds}
-    for source in graph:
-        parents = _search(graph, source)
-        for target in parents:
-            if target != source:
-                proofs[IND(*source, *target)] = _path_proof(graph, parents, target)
-    return {ind: proofs[ind] for ind in sorted(proofs, key=ind_sort_key)}
+    closed = [IND(rel, (), rel, ()) for rel in schema.relations]
+    closed += [IND(*source, *target) for source in graph
+               for target in _search(graph, source) if target != source]
+    return sorted(closed, key=ind_sort_key)
 
 
 def derives(sigma: Iterable[IND], tau: IND, system: RuleSystem,

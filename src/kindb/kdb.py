@@ -189,6 +189,12 @@ def is_balanced(db: KDatabase) -> bool:
 
 # -- JSON interchange ----------------------------------------------------------
 
+def _number_constant(rel: str, attr: str, value) -> str:
+    if type(value) not in (int, float):  # a JSON boolean, array, object or null
+        raise ParseError(f"{rel}.{attr} must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
     """Parse the database interchange format.
 
@@ -228,7 +234,8 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
             if mapping.keys() != attr_set:
                 raise ParseError(
                     f"row for {rel} must assign exactly the attributes {list(attrs)}")
-            row = tuple([str(mapping[a]) for a in attrs])
+            row = tuple([v if type(v) is str else _number_constant(rel, a, v)
+                         for a in attrs for v in (mapping[a],)])
             if not allow_star and STAR in row:
                 raise StarConstantError(
                     f"the constant {STAR!r} is reserved and cannot appear in input data")

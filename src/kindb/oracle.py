@@ -31,9 +31,9 @@ import itertools
 from typing import Iterable, Optional
 
 from .entail import Countermodel
-from .errors import CountermodelError, ParseError, SearchSpaceTooLarge
+from .errors import CountermodelError, ParseError, SearchSpaceTooLarge, StarConstantError
 from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
-from .kdb import Schema, make_database
+from .kdb import STAR, Schema, make_database
 from .monoid import Element, MonoidSpec
 
 CONSTRUCTION_ENUMERATION = "enumeration"
@@ -110,6 +110,8 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
         adom = list(adom)
     if isinstance(adom, str) or not all(isinstance(c, str) for c in adom):
         raise ParseError(f"adom must be a collection of constant names (strings), got {adom!r}")
+    if STAR in adom:
+        raise StarConstantError(f"adom must not hold the reserved constant {STAR!r}")
     sigma = sorted(set(sigma), key=format_ind)
     if schema is None:
         schema = infer_schema(sigma + [tau])

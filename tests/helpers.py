@@ -120,11 +120,11 @@ def ind_universe(schema: Schema, max_arity: int) -> list[IND]:
 
 
 @st.composite
-def schemas(draw):
-    """A hypothesis strategy: one to four relations, R, S, T and U, each of
-    arity zero to three."""
-    rels = ["R", "S", "T", "U"][:draw(st.integers(1, 4))]
-    return schema_of({rel: tuple(f"{rel}{i}" for i in range(draw(st.integers(0, 3))))
+def schemas(draw, relations=4, arity=3):
+    """A hypothesis strategy: one to ``relations`` relations, named R, S, T
+    and U in turn, each of arity zero to ``arity``."""
+    rels = ["R", "S", "T", "U"][:draw(st.integers(1, relations))]
+    return schema_of({rel: tuple(f"{rel}{i}" for i in range(draw(st.integers(0, arity))))
                       for rel in rels})
 
 

@@ -65,6 +65,8 @@ TABLE = {"elements": ["0", "1"], "zero": "0"}
     ({"monoid": 5, "schema": {"R": ["A"]}, "relations": {}}, "monoid"),
     ({"monoid": "naturals", "schema": {"R": ["A"]},
       "relations": {"R": [{"tuple": ["A"], "weight": "1"}]}}, "tuple"),
+    ({"monoid": "naturals", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": {"A": ["a"]}, "weight": "1"}]}}, "R.A"),
 ])
 def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
     db = tmp_path / "db.json"
@@ -213,6 +215,7 @@ ORACLE = {"monoid": "boolean", "sigma": ["R[A] <= S[B]"], "tau": "S[B] <= R[A]",
     ({**ORACLE, "weight_pool": "1"}, "weight_pool"),
     ({**ORACLE, "balanced": "false"}, "balanced"),
     ({k: v for k, v in ORACLE.items() if k != "tau"}, "tau"),
+    ({**ORACLE, "adom": ["x", "*"]}, "adom"),
 ])
 def test_oracle_malformed_config(capsys, tmp_path, doc, field):
     config = tmp_path / "oracle.json"

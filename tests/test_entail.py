@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kindb.entail
+from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, dependencies, schemas
 from kindb.errors import (
     CountermodelError,
     InvalidChain,
@@ -18,8 +21,8 @@ from kindb.entail import (
     build_countermodel_wc,
     decide_entailment,
 )
-from kindb.ind import parse_ind, satisfies
-from kindb.infer import DerivationProof
+from kindb.ind import infer_schema, parse_ind, satisfies
+from kindb.infer import DerivationProof, RuleSystem
 from kindb.kdb import is_balanced, load_database
 from kindb.monoid import (
     BOOLEAN,
@@ -28,6 +31,8 @@ from kindb.monoid import (
     NONNEG_RATIONALS,
     monogenic,
 )
+from kindb.oracle import brute_force_balanced_entails, brute_force_entails
+from test_acceptance import _fixture_tables
 
 MONO23 = monogenic(2, 3)
 
@@ -247,7 +252,8 @@ ONE_PASS_CASES = [
 @pytest.mark.parametrize("sigma,tau,m,balanced,entailed", ONE_PASS_CASES)
 def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, balanced,
                                                 entailed):
-    calls = {"saturate": 0, "chase": 0}
+    # one search decides; only the weakly cancellative chase needs the closure
+    calls = {"derives": 0, "saturate": 0, "chase": 0}
 
     def spy(name, key):
         real = getattr(kindb.entail, name)
@@ -257,34 +263,70 @@ def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, bala
             return real(*args, **kwargs)
         monkeypatch.setattr(kindb.entail, name, wrapper)
 
+    spy("derives", "derives")
     spy("saturate", "saturate")
     spy("plus_chase", "chase")
     spy("classical_chase", "chase")
     verdict = decide_entailment(sigma, tau, m, balanced=balanced)
     assert verdict.entailed == entailed
-    assert calls == {"saturate": 1, "chase": 1}
+    wc = m.classify().weakly_cancellative
+    assert calls == {"derives": 1, "saturate": 1 if wc else 0, "chase": 1}
 
 
 def test_closure_and_chase_must_agree(monkeypatch):
-    real_saturate = kindb.entail.saturate
-    # the closure misses a dependency that the chase derives by composition
+    real_derives = kindb.entail.derives
+    # the search misses a dependency that the chase derives by composition
     sigma = {parse_ind("R[A] <= S[B]"), parse_ind("S[B] <= T[C]")}
     tau = parse_ind("R[A] <= T[C]")
-    monkeypatch.setattr(kindb.entail, "saturate", lambda *args: {
-        ind: proof for ind, proof in real_saturate(*args).items() if ind != tau})
+    assert real_derives(sigma, tau, RuleSystem.STANDARD, infer_schema([*sigma, tau]))[0]
+    monkeypatch.setattr(kindb.entail, "derives", lambda *args: (False, None))
     for m in (NATURALS, BOOLEAN):
         with pytest.raises(CountermodelError, match="disagree"):
             decide_entailment(sigma, tau, m)
 
-    # the closure claims a dependency that the chase never derives
+    # the search claims a dependency that the chase never derives
     sigma = {parse_ind("R[A] <= S[B]")}
-    monkeypatch.setattr(kindb.entail, "saturate", lambda *args: {
-        **real_saturate(*args), DICH_TAU: DerivationProof("axiom", DICH_TAU)})
-    for name in ("plus_chase", "classical_chase"):
-        real_chase = getattr(kindb.entail, name)
-        monkeypatch.setattr(kindb.entail, name,
-                            lambda db, deps, *rest, _chase=real_chase: _chase(
-                                db, [d for d in deps if d != DICH_TAU], *rest))
+    assert not real_derives(sigma, DICH_TAU, RuleSystem.STANDARD_WS,
+                            infer_schema([*sigma, DICH_TAU]))[0]
+    monkeypatch.setattr(kindb.entail, "derives",
+                        lambda *args: (True, DerivationProof("axiom", DICH_TAU)))
     for m in (NATURALS, BOOLEAN):
         with pytest.raises(CountermodelError, match="disagree"):
             decide_entailment(sigma, DICH_TAU, m)
+
+
+# the saturating and max (join) tables; monogenic ones are drawn below
+FIXED_MONOIDS = BUILTIN_MONOIDS + [t for name, t in _fixture_tables()
+                                   if not name.startswith("monogenic")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dichotomy_reduces_to_naturals_or_boolean(data):
+    """The paper's theorem: entailment over a weakly cancellative monoid is
+    entailment over the naturals, over a weakly absorptive one over boolean."""
+    schema = data.draw(schemas(relations=3, arity=2))
+    sigma = set(data.draw(st.lists(dependencies(schema), max_size=3)))
+    tau = data.draw(dependencies(schema))
+    m = data.draw(st.one_of(st.sampled_from(FIXED_MONOIDS),
+                            st.builds(monogenic, st.integers(1, 6), st.integers(1, 6))))
+    nonzero = ([v for v in m.elements() if v != m.zero] if m.is_finite
+               else WEIGHT_POOLS[m.name])
+    pool = data.draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=2, unique=True))
+    wc = m.classify().weakly_cancellative
+    for balanced in (False, True):
+        verdict = decide_entailment(sigma, tau, m, balanced=balanced, schema=schema)
+        base = decide_entailment(sigma, tau, NATURALS if wc else BOOLEAN, balanced=balanced,
+                                 schema=schema)
+        assert verdict.entailed == base.entailed
+        if verdict.entailed:
+            search = brute_force_balanced_entails if balanced else brute_force_entails
+            assert search(sigma, tau, m, adom=["x", "y"], weight_pool=pool, max_tuples=2,
+                          schema=schema) is None
+        else:
+            cm = verdict.countermodel
+            assert cm.construction == (CONSTRUCTION_WC_EMBED if wc else CONSTRUCTION_SA)
+            db = cm.database
+            assert db.monoid is m
+            assert all(satisfies(db, s) for s in sigma) and not satisfies(db, tau)
+            assert is_balanced(db) or not balanced
