@@ -27,7 +27,7 @@ from .chase import (
     trace_to_json,
 )
 from .entail import decide_entailment
-from .errors import ChaseBudgetExceeded, KindbError, ParseError
+from .errors import ChaseBudgetExceeded, ElementError, KindbError, ParseError
 from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
 from .kdb import KDatabase, load_database_file
@@ -183,7 +183,10 @@ def cmd_oracle(args) -> int:
     m = parse_monoid(config["monoid"])
     sigma = {parse_ind(t) for t in config["sigma"]}
     tau = parse_ind(config["tau"])
-    pool = [m.parse_element(str(w)) for w in config["weight_pool"]]
+    try:
+        pool = [m.parse_element(str(w)) for w in config["weight_pool"]]
+    except ElementError as exc:
+        raise ElementError(f"weight_pool: {exc}") from None
     search = (brute_force_balanced_entails if config.get("balanced", False)
               else brute_force_entails)
     found = search(sigma, tau, m, adom=config["adom"], weight_pool=pool,

@@ -216,6 +216,8 @@ def derives(sigma: Iterable[IND], tau: IND, system: RuleSystem,
     validate_ind(tau, schema)
     sigma = set(sigma)
     if tau.is_reflexive:
+        for member in sorted(sigma, key=ind_sort_key):  # else _graph checks them
+            validate_ind(member, schema)
         proof = DerivationProof(RULE_REFLEXIVITY, tau)
     else:
         graph = _graph(sigma, system, schema)

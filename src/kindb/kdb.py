@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import (
     DuplicateAttribute,
+    ElementError,
     MonoidMismatch,
     ParseError,
     SchemaMismatch,
@@ -239,7 +240,10 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
             if not allow_star and STAR in row:
                 raise StarConstantError(
                     f"the constant {STAR!r} is reserved and cannot appear in input data")
-            w = monoid.parse_element(str(entry["weight"]))
+            try:
+                w = monoid.parse_element(str(entry["weight"]))
+            except ElementError as exc:
+                raise ElementError(f"{rel}.weight: {exc}") from None
             prior = rel_weights.get(row)
             rel_weights[row] = w if prior is None else monoid.add(prior, w)
         weights[rel] = rel_weights
@@ -256,15 +260,8 @@ def load_database_file(path: str) -> KDatabase:
 
 
 def dump_database(db: KDatabase) -> dict:
-    from .monoid import TableMonoid
-
-    monoid_field: Union[str, dict]
-    if isinstance(db.monoid, TableMonoid):
-        monoid_field = db.monoid.as_dict()
-    else:
-        monoid_field = db.monoid.name
     return {
-        "monoid": monoid_field,
+        "monoid": db.monoid.as_dict(),
         "schema": {rel: list(attrs) for rel, attrs in sorted(db.schema.relations.items())},
         "relations": {
             rel: [

@@ -22,7 +22,7 @@ nonzero, so every nontrivial finite monoid is self absorptive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -77,43 +77,32 @@ class PropertyReport:
             raise ValueError("countably absorptive implies weakly absorptive")
 
     def as_dict(self) -> dict:
-        return {
-            "positive": self.positive,
-            "weakly_cancellative": self.weakly_cancellative,
-            "weakly_absorptive": self.weakly_absorptive,
-            "self_absorptive": self.self_absorptive,
-            "k_absorptive_max": self.k_absorptive_max,
-            "countably_absorptive": self.countably_absorptive,
-            "natural_order_total": self.natural_order_total,
-            "natural_order_antisymmetric": self.natural_order_antisymmetric,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
-# Declared classifications of the builtins: every element of boolean and
-# max-naturals is idempotent; the naturals and rationals are cancellative.
-_IDEMPOTENT_REPORT = PropertyReport(
-    positive=True,
-    weakly_cancellative=False,
-    weakly_absorptive=True,
-    self_absorptive=True,
-    k_absorptive_max=UNBOUNDED,
-    countably_absorptive=True,
-    natural_order_total=True,
-    natural_order_antisymmetric=True,
-    provenance="declared",
-)
-_CANCELLATIVE_REPORT = PropertyReport(
-    positive=True,
-    weakly_cancellative=True,
-    weakly_absorptive=False,
-    self_absorptive=False,
-    k_absorptive_max=0,
-    countably_absorptive=False,
-    natural_order_total=True,
-    natural_order_antisymmetric=True,
-    provenance="declared",
-)
+def _finite_report(absorptive: bool, total: bool, antisymmetric: bool,
+                   provenance: str) -> PropertyReport:
+    """The report of a finite positive monoid.  It is weakly absorptive iff
+    it has a nonzero idempotent, which it has iff it is nontrivial (see the
+    module docstring); the idempotent then gives chains of every length,
+    and the trivial monoid has no chain at all.  The declared reports of
+    the builtins take the same two shapes: boolean and max-naturals are
+    idempotent, the naturals and rationals cancellative."""
+    return PropertyReport(
+        positive=True,
+        weakly_cancellative=not absorptive,
+        weakly_absorptive=absorptive,
+        self_absorptive=absorptive,
+        k_absorptive_max=UNBOUNDED if absorptive else 0,
+        countably_absorptive=absorptive,
+        natural_order_total=total,
+        natural_order_antisymmetric=antisymmetric,
+        provenance=provenance,
+    )
+
+
+_IDEMPOTENT_REPORT = _finite_report(True, True, True, "declared")
+_CANCELLATIVE_REPORT = _finite_report(False, True, True, "declared")
 
 
 class MonoidSpec:
@@ -194,6 +183,11 @@ class MonoidSpec:
     def format_element(self, value: Element) -> str:
         raise NotImplementedError
 
+    def as_dict(self) -> Union[str, dict]:
+        """The JSON form that ``parse_monoid`` reads back: the monoid's name,
+        or a table monoid's operation table."""
+        return self.name
+
     # -- identity ----------------------------------------------------------------
 
     def key(self) -> tuple:
@@ -209,82 +203,70 @@ class MonoidSpec:
         return f"MonoidSpec({self.name})"
 
 
-def _check_natural(name: str, value: Element) -> int:
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, int) and value >= 0:
-        return value
-    raise ElementError(f"{value!r} is not a valid {name} element")
+class _Naturals(MonoidSpec):
+    """A carrier of naturals below ``size`` (all of them when ``size`` is
+    None), ordered numerically unless a subclass says otherwise."""
 
-
-class BooleanMonoid(MonoidSpec):
-    """({0,1}, or, 0)."""
-
-    name = "boolean"
+    size: Optional[int] = None
+    zero = 0
 
     def check(self, value):
-        v = _check_natural(self.name, value)
-        if v not in (0, 1):
-            raise ElementError(f"{value!r} is not a boolean weight")
-        return v
-
-    @property
-    def zero(self):
-        return 0
+        if type(value) is not int:
+            if not isinstance(value, int):
+                raise ElementError(f"{value!r} is not an element of {self.name}")
+            value = int(value)  # a bool
+        if 0 <= value and (self.size is None or value < self.size):
+            return value
+        raise ElementError(f"{value!r} is not an element of {self.name}")
 
     @property
     def is_finite(self):
-        return True
+        return self.size is not None
 
     def elements(self):
-        yield 0
-        yield 1
+        if self.size is None:
+            return super().elements()
+        return iter(range(self.size))
 
     def some_nonzero(self):
         return 1
 
-    def add(self, a, b):
-        return self.check(a) | self.check(b)
-
     def leq(self, a, b):
         return self.check(a) <= self.check(b)
-
-    def classify(self) -> PropertyReport:
-        return _IDEMPOTENT_REPORT
 
     def parse_element(self, text):
         try:
             return self.check(int(text))
         except ValueError:
-            raise ElementError(f"cannot parse boolean weight {text!r}") from None
+            raise ElementError(f"cannot parse {self.name} weight {text!r}") from None
 
     def format_element(self, value):
         return str(self.check(value))
 
 
-class NaturalsMonoid(MonoidSpec):
+class BooleanMonoid(_Naturals):
+    """({0,1}, or, 0)."""
+
+    name = "boolean"
+    size = 2
+
+    def add(self, a, b):
+        return self.check(a) | self.check(b)
+
+    def classify(self) -> PropertyReport:
+        return _IDEMPOTENT_REPORT
+
+
+class NaturalsMonoid(_Naturals):
     """(N, +, 0) with arbitrary precision."""
 
     name = "naturals"
-
-    def check(self, value):
-        return _check_natural(self.name, value)
-
-    @property
-    def zero(self):
-        return 0
-
-    def some_nonzero(self):
-        return 1
 
     def add(self, a, b):
         return self.check(a) + self.check(b)
 
     def add_all(self, values):
         return sum(map(self.check, values))
-
-    def leq(self, a, b):
-        return self.check(a) <= self.check(b)
 
     def monus(self, a, b):
         a, b = self.check(a), self.check(b)
@@ -294,15 +276,6 @@ class NaturalsMonoid(MonoidSpec):
 
     def classify(self) -> PropertyReport:
         return _CANCELLATIVE_REPORT
-
-    def parse_element(self, text):
-        try:
-            return self.check(int(text))
-        except ValueError:
-            raise ElementError(f"cannot parse natural weight {text!r}") from None
-
-    def format_element(self, value):
-        return str(self.check(value))
 
 
 class NonnegRationalsMonoid(MonoidSpec):
@@ -355,26 +328,13 @@ class NonnegRationalsMonoid(MonoidSpec):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-class MaxNaturalsMonoid(MonoidSpec):
+class MaxNaturalsMonoid(_Naturals):
     """(N, max, 0); the natural order coincides with numeric order."""
 
     name = "max_naturals"
 
-    def check(self, value):
-        return _check_natural(self.name, value)
-
-    @property
-    def zero(self):
-        return 0
-
-    def some_nonzero(self):
-        return 1
-
     def add(self, a, b):
         return max(self.check(a), self.check(b))
-
-    def leq(self, a, b):
-        return self.check(a) <= self.check(b)
 
     def classify(self) -> PropertyReport:
         return _IDEMPOTENT_REPORT
@@ -382,17 +342,8 @@ class MaxNaturalsMonoid(MonoidSpec):
     def nonzero_idempotent(self):
         return 1
 
-    def parse_element(self, text):
-        try:
-            return self.check(int(text))
-        except ValueError:
-            raise ElementError(f"cannot parse max-naturals weight {text!r}") from None
 
-    def format_element(self, value):
-        return str(self.check(value))
-
-
-class MonogenicMonoid(MonoidSpec):
+class MonogenicMonoid(_Naturals):
     """The quotient of N generated by 1 under the congruence m0 = m0 + l.
 
     Carrier {0, .., m0+l-1}; sums at or beyond m0+l wrap into the cycle
@@ -404,31 +355,12 @@ class MonogenicMonoid(MonoidSpec):
             raise InvalidMonoidTable("monogenic monoid needs index >= 1 and period >= 1")
         self.index = index
         self.period = period
+        self.size = index + period
         self.name = f"monogenic:{index},{period}"
-
-    def check(self, value):
-        v = _check_natural(self.name, value)
-        if v >= self.index + self.period:
-            raise ElementError(f"{value!r} is outside the carrier of {self.name}")
-        return v
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def is_finite(self):
-        return True
-
-    def elements(self):
-        return iter(range(self.index + self.period))
-
-    def some_nonzero(self):
-        return 1
 
     def add(self, a, b):
         s = self.check(a) + self.check(b)
-        if s < self.index + self.period:
+        if s < self.size:
             return s
         return (s - self.index) % self.period + self.index
 
@@ -440,20 +372,11 @@ class MonogenicMonoid(MonoidSpec):
 
     def classify(self) -> PropertyReport:
         # the order is total; it is antisymmetric only if the cycle is a point
-        return _finite_report(True, True, self.period == 1)
+        return _finite_report(True, True, self.period == 1, "computed")
 
     def nonzero_idempotent(self):
         # the cycle element that is a multiple of the period
         return -(-self.index // self.period) * self.period
-
-    def parse_element(self, text):
-        try:
-            return self.check(int(text))
-        except ValueError:
-            raise ElementError(f"cannot parse {self.name} weight {text!r}") from None
-
-    def format_element(self, value):
-        return str(self.check(value))
 
     def key(self):
         return ("monogenic", self.index, self.period)
@@ -552,7 +475,8 @@ class TableMonoid(MonoidSpec):
         total = all(b in reach[a] or a in reach[b] for a in els for b in els)
         antisymmetric = all(a == b or not (b in reach[a] and a in reach[b])
                             for a in els for b in els)
-        return _finite_report(self.nonzero_idempotent() is not None, total, antisymmetric)
+        return _finite_report(self.nonzero_idempotent() is not None, total, antisymmetric,
+                              "computed")
 
     def parse_element(self, text):
         return self.check(text)
@@ -569,24 +493,6 @@ class TableMonoid(MonoidSpec):
             if self._elements.index(a) <= self._elements.index(b):
                 op[f"{a},{b}"] = c
         return {"elements": list(self._elements), "zero": self._zero, "op": op}
-
-
-def _finite_report(absorptive: bool, total: bool, antisymmetric: bool) -> PropertyReport:
-    """The report of a finite positive monoid.  It is weakly absorptive iff
-    it has a nonzero idempotent, which it has iff it is nontrivial (see the
-    module docstring); the idempotent then gives chains of every length,
-    and the trivial monoid has no chain at all."""
-    return PropertyReport(
-        positive=True,
-        weakly_cancellative=not absorptive,
-        weakly_absorptive=absorptive,
-        self_absorptive=absorptive,
-        k_absorptive_max=UNBOUNDED if absorptive else 0,
-        countably_absorptive=absorptive,
-        natural_order_total=total,
-        natural_order_antisymmetric=antisymmetric,
-        provenance="computed",
-    )
 
 
 # -- module-level operation surface -------------------------------------------

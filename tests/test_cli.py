@@ -67,6 +67,12 @@ TABLE = {"elements": ["0", "1"], "zero": "0"}
       "relations": {"R": [{"tuple": ["A"], "weight": "1"}]}}, "tuple"),
     ({"monoid": "naturals", "schema": {"R": ["A"]},
       "relations": {"R": [{"tuple": {"A": ["a"]}, "weight": "1"}]}}, "R.A"),
+    ({"monoid": "naturals", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": {"A": "a"}, "weight": "-1"}]}}, "R.weight"),
+    ({"monoid": "boolean", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": {"A": "a"}, "weight": "2"}]}}, "R.weight"),
+    ({"monoid": "naturals", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": {"A": "a"}, "weight": "many"}]}}, "R.weight"),
 ])
 def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
     db = tmp_path / "db.json"
@@ -216,6 +222,9 @@ ORACLE = {"monoid": "boolean", "sigma": ["R[A] <= S[B]"], "tau": "S[B] <= R[A]",
     ({**ORACLE, "balanced": "false"}, "balanced"),
     ({k: v for k, v in ORACLE.items() if k != "tau"}, "tau"),
     ({**ORACLE, "adom": ["x", "*"]}, "adom"),
+    ({**ORACLE, "monoid": "naturals", "weight_pool": ["1", "-1"]}, "weight_pool"),
+    ({**ORACLE, "weight_pool": ["2"]}, "weight_pool"),
+    ({**ORACLE, "weight_pool": ["many"]}, "weight_pool"),
 ])
 def test_oracle_malformed_config(capsys, tmp_path, doc, field):
     config = tmp_path / "oracle.json"

@@ -10,6 +10,7 @@ from kindb.errors import (
     MiddleMismatch,
     PremiseMismatch,
     ProofError,
+    UnknownRelation,
 )
 from kindb.ind import IND, format_ind, infer_schema, parse_ind
 from kindb.infer import (
@@ -114,6 +115,14 @@ def test_derives_member_and_reflexive():
     refl = parse_ind("Budget[year,proj] <= Budget[year,proj]")
     ok, proof = derives(set(), refl, RuleSystem.STANDARD, BUDGET_SCHEMA)
     assert ok and proof.rule == "reflexivity"
+
+
+def test_derives_validates_sigma_for_a_reflexive_query():
+    sigma = {parse_ind("Q[Z] <= R[A]")}
+    schema = schema_of({"R": ("A", "B")})
+    for tau in ("R[A] <= R[A]", "R[A] <= R[B]"):
+        with pytest.raises(UnknownRelation):
+            derives(sigma, parse_ind(tau), RuleSystem.STANDARD, schema)
 
 
 def test_saturate_monotone_and_idempotent():

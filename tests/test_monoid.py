@@ -301,10 +301,20 @@ def test_element_codecs_round_trip():
         (NONNEG_RATIONALS, "3/2"),
         (NONNEG_RATIONALS, "4"),
         (BOOLEAN, "1"),
+        (MAX_NATURALS, "9"),
         (MONO23, "4"),
     ]
     for m, text in cases:
         assert m.format_element(m.parse_element(text)) == text
+    for m, text in [(NATURALS, "-1"), (BOOLEAN, "2"), (MONO23, "5"), (NATURALS, "x"),
+                    (MAX_NATURALS, "x"), (NONNEG_RATIONALS, "1/0")]:
+        with pytest.raises(ElementError):
+            m.parse_element(text)
+    for m in ALL_BUILTINS:
+        assert m.check(True) == 1
+    for m in (NATURALS, NONNEG_RATIONALS, MAX_NATURALS):
+        with pytest.raises(UnsupportedMonoid):
+            m.elements()
 
 
 def test_fig1_style_implication_chain():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, dependencies, reference_search
+from helpers import BUILTIN_MONOIDS, MONO23, WEIGHT_POOLS, dependencies, reference_search
 from kindb import oracle
 from kindb.errors import ParseError, SearchSpaceTooLarge
 from kindb.ind import IND, parse_ind, satisfies
@@ -168,7 +168,23 @@ def search_cases(draw):
     """A hypothesis strategy: the arguments of one bounded search over one to
     three relations, up to three constants, rows and pool weights, with
     reflexive dependencies drawn on purpose (the search never checks them);
-    whether it is balanced; and a cap that keeps the reference loop short."""
+    whether it is balanced; and a cap that keeps the reference loop short.
+    Half the draws are balanced searches over monogenic:2,3, two constants
+    and two or three nonzero weights (at most 2,800 candidates), in which a
+    relation of arity 1 is read by no dependency.  Only its total counts;
+    sums wrap, so a total that needs two rows is reached in several ways,
+    and the least counterexample shows which member stands for the class."""
+    if draw(st.booleans()):
+        unread, rel = draw(st.permutations(["R", "S", "T"]))[:2]
+        read = schema_of({rel: ATTRS[rel]})
+        return (draw(st.lists(dependencies(read), max_size=3)),
+                draw(dependencies(read).filter(lambda d: not d.is_reflexive)), MONO23,
+                dict(adom=["x", "y"],
+                     weight_pool=draw(st.lists(st.sampled_from(WEIGHT_POOLS[MONO23.name]),
+                                               min_size=2, max_size=3, unique=True)),
+                     max_tuples=draw(st.integers(2, 3)),
+                     schema=schema_of({unread: ATTRS[unread][:1], rel: ATTRS[rel]})),
+                True, 3000)
     rels = ["R", "S", "T"][:draw(st.integers(1, 3))]
     schema = schema_of({rel: ATTRS[rel][:draw(st.integers(0, 2))] for rel in rels})
     some_dependency = st.one_of(dependencies(schema), reflexive_dependencies(schema))
