@@ -2,12 +2,12 @@
 
 For a weakly cancellative monoid, the standard rules plus weak symmetry are
 sound and complete, and entailment coincides with satisfaction of the query
-dependency in the additive chase of its canonical start by the weak-symmetry
-closure of the assumptions.  For a weakly absorptive monoid, the standard
-rules alone are sound and complete, and the classical chase of the
-canonical start by the assumptions themselves decides.  Each
-positive answer carries a checked derivation.  Each negative answer carries
-a countermodel, re-verified before it is returned.  The constructions are:
+dependency in the additive chase of its canonical start by the assumptions
+and the reversals weak symmetry allows, which have the closure's models.  For
+a weakly absorptive monoid, the standard rules alone are sound and complete,
+and the classical chase of the canonical start by the assumptions decides.
+Each positive answer carries a checked derivation, each negative answer a
+countermodel, re-verified before it is returned.  The constructions are:
 
 * ``plus_chase_embedding``: the additive chase result, each count n
   re-weighted to n*b for a nonzero b (weakly cancellative monoids);
@@ -42,15 +42,15 @@ from .errors import (
     UnsupportedMonoid,
 )
 from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
-from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
+from .ind import IND, format_ind, ind_sort_key, infer_schema, satisfies
 from .infer import (
     RULE_AXIOM,
     RULE_BALANCE,
+    DerivationGraph,
     DerivationProof,
     RuleSystem,
     derives,
     proof_to_json,
-    saturate,
 )
 from .kdb import KDatabase, Schema, degree, dump_database, is_balanced, make_database
 from .monoid import (
@@ -130,14 +130,15 @@ def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IN
     return Countermodel(db, construction, params)
 
 
-def _plus_chased(tau: IND, schema: Schema, closed: Iterable[IND],
+def _plus_chased(tau: IND, schema: Schema, sigma: Iterable[IND],
                  config: Optional[ChaseConfig]) -> KDatabase:
-    """The additive chase of the canonical start by a weak-symmetry-closed
-    set, which terminates."""
-    trace = plus_chase(canonical_start(tau, schema, NATURALS), closed, config)
+    """The additive chase of the canonical start by ``sigma`` and the
+    reversals weak symmetry gives."""
+    members = DerivationGraph(sigma, RuleSystem.STANDARD_WS, schema).members
+    trace = plus_chase(canonical_start(tau, schema, NATURALS), members, config)
     if not trace.terminated:
         raise ChaseBudgetExceeded(
-            "additive chase exceeded its budget on a weak-symmetry-closed set")
+            "additive chase exceeded its budget on the assumptions and their reversals")
     return trace.result
 
 
@@ -148,11 +149,6 @@ def _embedded(counts: KDatabase, m: MonoidSpec, b: Element, sigma: Iterable[IND]
         rel: {row: embed_naturals(m, b, n) for row, n in kr.weights.items()}
         for rel, kr in counts.relations.items()})
     return _verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
-
-
-def _classical_chased(tau: IND, schema: Schema, sigma: Iterable[IND]) -> KDatabase:
-    """The classical chase of the canonical start by ``sigma``."""
-    return classical_chase(canonical_start(tau, schema, BOOLEAN), sigma)[0]
 
 
 def _stratified(chased: KDatabase, m: MonoidSpec, chain: list[Element],
@@ -177,18 +173,18 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     Dispatch follows the monoid's property report; pass ``report`` to
     override the declared classification of a builtin.  One search for
     ``tau`` gives the verdict and the proof, and one chase of the canonical
-    start the countermodel: additive by the weak-symmetry closure when weakly
-    cancellative, classical by the assumptions when weakly absorptive (with
-    the balance instances, if any).  The search and the chase must agree.
+    start the countermodel: additive by the assumptions and their reversals
+    when weakly cancellative, classical by the assumptions when weakly
+    absorptive (with the balance instances, if any).  The search and the
+    chase must agree.
     """
     sigma = set(sigma)
+    given = sorted(sigma | {tau}, key=ind_sort_key)
     if schema is None:
-        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
-    for s in sigma | {tau}:
-        validate_ind(s, schema)
+        schema = infer_schema(given)
     # work over the mentioned relations only, so countermodels (and the
     # balance check) ignore unrelated parts of a wider schema
-    mentioned = {r for s in sigma | {tau} for r in (s.lhs_rel, s.rhs_rel)}
+    mentioned = {r for s in given for r in (s.lhs_rel, s.rhs_rel)}
     schema = Schema({r: schema.attributes(r) for r in sorted(mentioned)})
     if report is None:
         try:
@@ -208,9 +204,9 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     system = RuleSystem.STANDARD_WS if wc else RuleSystem.STANDARD
     derivable, proof = derives(sigma_star, tau, system, schema)
     if wc:
-        chased = _plus_chased(tau, schema, saturate(sigma_star, system, schema), config)
+        chased = _plus_chased(tau, schema, sigma_star, config)
     else:
-        chased = _classical_chased(tau, schema, sigma_star)
+        chased = classical_chase(canonical_start(tau, schema, BOOLEAN), sigma_star)[0]
     if satisfies(chased, tau) != derivable:
         raise CountermodelError(f"chase and derivability disagree on {format_ind(tau)}")
 
@@ -243,8 +239,7 @@ def build_countermodel_wc(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     b = m.check(b)
     if b == m.zero:
         raise ElementError("the embedding generator must be nonzero")
-    chased = _plus_chased(tau, schema, saturate(sigma, RuleSystem.STANDARD_WS, schema),
-                          config)
+    chased = _plus_chased(tau, schema, sigma, config)
     if satisfies(chased, tau):
         raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
     return _embedded(chased, m, b, sigma, tau, balanced=False)
@@ -269,7 +264,7 @@ def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
             raise InvalidChain(
                 f"{m.format_element(lo)} + {m.format_element(hi)} "
                 f"!= {m.format_element(hi)}")
-    chased = _classical_chased(tau, schema, sigma)
+    chased = classical_chase(canonical_start(tau, schema, BOOLEAN), sigma)[0]
     if satisfies(chased, tau):
         raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
     return _stratified(chased, m, chain, sigma, tau, balanced=False)

@@ -12,22 +12,26 @@ Derivability is reachability.  Projection and permutation commute with the
 other rules, so a derivation applies them to assumptions only and is then a
 path of transitivity steps over dependency sides R[X], from the query's left
 side to its right one (the derivation sequences of Casanova, Fagin and
-Papadimitriou, JCSS 28(1), 1984).  The edges are the index selections of the
-assumptions, reflexive ones left out, and under the balance axioms their
-instances at arity 0.  Weak symmetry reverses an edge R[X] -> S[Y] when S[]
-reaches R[] (when R = S, the premise is the reflexivity instance R[] <= R[]).
-Reversing edges of the assumptions is enough: weak symmetry on a derived
-X <= Y needs Y.rel[] <= X.rel[], so every relation on the path lies in one
-strongly connected component of the arity-0 graph, each edge on the path can
-be reversed, and the reversed path derives Y <= X.  Reversed edges have
-positive arity, so arity-0 reachability is read before any is added.
+Papadimitriou, JCSS 28(1), 1984).  There is one kind of edge: a member
+R[A] <= S[B] of one ordered list with X within A gives R[X] -> S[Y], Y at the
+positions of X in A, found when a search first reaches R[X].  The members are
+the assumptions in canonical order, under the balance axioms the arity-0
+balance instances, and under weak symmetry the inverse of each
+positive-arity assumption T[C] <= R[D] when R[] reaches T[] at arity 0 (when
+R = T, the premise is the reflexivity instance R[] <= R[]).  Reversing
+assumptions is enough: weak symmetry on a derived X <= Y needs
+Y.rel[] <= X.rel[], so every relation on the path lies in one strongly
+connected component of the arity-0 graph, each edge on the path can be
+reversed, and the reversed path derives Y <= X.  A reversal gives no arity-0
+edge, so it cannot change the reachability that admits it.
 
-An edge records only how it is derived: an assumption and an index
-selection, a balance instance, or a reversal.  Proofs are built only along
-the path ``derives`` returns: each edge becomes an axiom or its projection, a
-balance leaf, or weak symmetry over the forward edge's proof and the arity-0
-path proof of its premise, and the edges are composed pairwise, so a proof's
-depth is logarithmic in the path's length.  ``saturate`` returns facts only.
+An edge records only its member and index selection.  Proofs are built only
+along the path ``derives`` returns, each edge's rule read off its member: an
+axiom or its projection for an assumption, a balance leaf for another arity-0
+member, and for a reversal weak symmetry over the forward edge's proof and
+the arity-0 path proof of its premise.  The edges are composed pairwise, so a
+proof's depth is logarithmic in the path's length.  ``saturate`` searches
+from each selection of each member's left side and returns facts only.
 """
 
 from __future__ import annotations
@@ -118,94 +122,96 @@ def weak_symmetry(sigma: IND, empty_ind: IND) -> IND:
 # -- derivability by search --------------------------------------------------------
 
 Node = tuple[str, tuple[str, ...]]  # a dependency side R[X]
-# How an edge is derived: (assumption, selection), RULE_BALANCE or RULE_WEAK_SYMMETRY
-EdgeTag = tuple[IND, tuple[int, ...]] | str
-Graph = dict[Node, dict[Node, EdgeTag]]  # the edges out of each side
+EdgeTag = tuple[IND, tuple[int, ...]]  # how an edge is derived: (member, selection)
 
 
-def _search(graph: Graph, source: Node) -> dict[Node, Optional[Node]]:
-    """Breadth-first search: each node reachable from ``source``, the source
-    included, mapped to its parent on a shortest path (the source to None)."""
-    parents: dict[Node, Optional[Node]] = {source: None}
-    queue = [source]
-    for node in queue:  # the queue grows as it is read
-        for succ in graph.get(node, ()):
-            if succ not in parents:
-                parents[succ] = node
-                queue.append(succ)
-    return parents
+class DerivationGraph(dict[Node, dict[Node, EdgeTag]]):
+    """The edges of a rule system over the assumptions, keyed by the side
+    they leave.  Each is an index selection of one of ``members``, and a
+    side's edges are found when it is first looked up."""
 
+    def __init__(self, sigma: Iterable[IND], system: RuleSystem, schema: Schema):
+        super().__init__()
+        self.sigma = set(sigma)
+        self.members = sorted(self.sigma, key=ind_sort_key)
+        for member in self.members:
+            validate_ind(member, schema)
+        if system.has_balance:
+            self.members += [IND(lhs, (), rhs, ()) for lhs, rhs
+                             in itertools.permutations(sorted(schema.relations), 2)]
+        if system.has_weak_symmetry:  # a search reaches its source: R[] <= R[] when R = S
+            self.members += [inverse(s) for s in self.members[:len(self.sigma)]
+                             if s.arity and (s.lhs_rel, ()) in self.search((s.rhs_rel, ()))]
 
-def _edge_proof(graph: Graph, lhs: Node, rhs: Node) -> DerivationProof:
-    """The proof of the edge ``lhs`` -> ``rhs``, read off how it was derived."""
-    tag, conclusion = graph[lhs][rhs], IND(*lhs, *rhs)
-    if tag == RULE_BALANCE:
-        return DerivationProof(RULE_BALANCE, conclusion)
-    if tag == RULE_WEAK_SYMMETRY:  # the premise lhs.rel[] <= rhs.rel[]
-        premise = _path_proof(graph, _search(graph, (lhs[0], ())), (rhs[0], ()))
-        return DerivationProof(RULE_WEAK_SYMMETRY, conclusion,
-                               (_edge_proof(graph, rhs, lhs), premise))
-    member, selection = tag
-    axiom = DerivationProof(RULE_AXIOM, member)
-    if selection == tuple(range(member.arity)):
-        return axiom
-    return DerivationProof(RULE_PROJECT_PERMUTE, conclusion, (axiom,), selection)
+    def __missing__(self, node: Node) -> dict[Node, EdgeTag]:
+        """The edges out of ``node``, one per member whose left side covers
+        it, the first member winning; a reversal gives none at arity 0."""
+        out = self[node] = {}
+        rel, attrs = node
+        for member in self.members:
+            if member.lhs_rel == rel and set(attrs).issubset(member.lhs_attrs) and (
+                    attrs or not member.arity or member in self.sigma):
+                selection = tuple(member.lhs_attrs.index(a) for a in attrs)
+                succ = (member.rhs_rel, tuple(member.rhs_attrs[i] for i in selection))
+                if succ != node:
+                    out.setdefault(succ, (member, selection))
+        return out
 
+    def search(self, source: Node) -> dict[Node, Optional[Node]]:
+        """Breadth-first search: each node reachable from ``source`` (itself
+        included) mapped to its parent on a shortest path, the source to None."""
+        parents: dict[Node, Optional[Node]] = {source: None}
+        queue = [source]
+        for node in queue:  # the queue grows as it is read
+            for succ in self[node]:
+                if succ not in parents:
+                    parents[succ] = node
+                    queue.append(succ)
+        return parents
 
-def _path_proof(graph: Graph, parents: dict[Node, Optional[Node]],
-                target: Node) -> DerivationProof:
-    """The proof of source <= ``target`` along a search's parent links (the
-    reflexivity leaf when ``target`` is the source), its edges composed
-    pairwise so that its depth is logarithmic in its length."""
-    steps = []
-    while parents[target] is not None:
-        steps.append(_edge_proof(graph, parents[target], target))
-        target = parents[target]
-    steps = steps[::-1] or [DerivationProof(RULE_REFLEXIVITY, IND(*target, *target))]
-    while len(steps) > 1:
-        paired = [DerivationProof(RULE_TRANSITIVITY,
-                                  transitivity(p1.conclusion, p2.conclusion), (p1, p2))
-                  for p1, p2 in zip(steps[::2], steps[1::2])]
-        steps = paired + steps[2 * len(paired):]
-    return steps[0]
+    def _edge_proof(self, lhs: Node, rhs: Node, tag: EdgeTag) -> DerivationProof:
+        """The proof of the edge ``lhs`` -> ``rhs``, its rule read off its member."""
+        (member, selection), conclusion = tag, IND(*lhs, *rhs)
+        if member in self.sigma:
+            axiom = DerivationProof(RULE_AXIOM, member)
+            if selection == tuple(range(member.arity)):
+                return axiom
+            return DerivationProof(RULE_PROJECT_PERMUTE, conclusion, (axiom,), selection)
+        if not member.arity:
+            return DerivationProof(RULE_BALANCE, conclusion)
+        premise = self.path_proof(self.search((lhs[0], ())), (rhs[0], ()))
+        forward = self._edge_proof(rhs, lhs, (inverse(member), selection))
+        return DerivationProof(RULE_WEAK_SYMMETRY, conclusion, (forward, premise))
 
-
-def _graph(sigma: Iterable[IND], system: RuleSystem, schema: Schema) -> Graph:
-    """The edges of ``system`` over the assumptions."""
-    graph: Graph = {}
-
-    def add(lhs: Node, rhs: Node, tag: EdgeTag) -> None:
-        graph.setdefault(lhs, {}).setdefault(rhs, tag)
-
-    for member in sorted(set(sigma), key=ind_sort_key):
-        validate_ind(member, schema)
-        for length in range(member.arity + 1):
-            for selection in itertools.permutations(range(member.arity), length):
-                lhs = (member.lhs_rel, tuple(member.lhs_attrs[i] for i in selection))
-                rhs = (member.rhs_rel, tuple(member.rhs_attrs[i] for i in selection))
-                if lhs != rhs:
-                    add(lhs, rhs, (member, selection))
-
-    if system.has_balance:
-        for lhs, rhs in itertools.permutations(sorted(schema.relations), 2):
-            add((lhs, ()), (rhs, ()), RULE_BALANCE)
-
-    if system.has_weak_symmetry:
-        edges = [(lhs, rhs) for lhs, out in graph.items() for rhs in out if lhs[1]]
-        reach = {rel: _search(graph, (rel, ())) for rel in {rhs[0] for _, rhs in edges}}
-        for lhs, rhs in edges:  # a search reaches its source: R[] <= R[] when R = S
-            if (lhs[0], ()) in reach[rhs[0]]:
-                add(rhs, lhs, RULE_WEAK_SYMMETRY)
-    return graph
+    def path_proof(self, parents: dict[Node, Optional[Node]],
+                   target: Node) -> DerivationProof:
+        """The proof of source <= ``target`` along a search's parent links
+        (the reflexivity leaf when ``target`` is the source), its edges
+        composed pairwise so that its depth is logarithmic in its length."""
+        steps = []
+        while (lhs := parents[target]) is not None:
+            steps.append(self._edge_proof(lhs, target, self[lhs][target]))
+            target = lhs
+        steps = steps[::-1] or [DerivationProof(RULE_REFLEXIVITY, IND(*target, *target))]
+        while len(steps) > 1:
+            paired = [DerivationProof(RULE_TRANSITIVITY,
+                                      transitivity(p1.conclusion, p2.conclusion), (p1, p2))
+                      for p1, p2 in zip(steps[::2], steps[1::2])]
+            steps = paired + steps[2 * len(paired):]
+        return steps[0]
 
 
 def saturate(sigma: Iterable[IND], system: RuleSystem, schema: Schema) -> list[IND]:
     """All derivable non-reflexive dependencies in the finite universe, plus
-    the arity-0 reflexivity seeds, in canonical order."""
-    graph = _graph(sigma, system, schema)
+    the arity-0 reflexivity seeds, in canonical order: one search from each
+    selection of each member's left side."""
+    graph = DerivationGraph(sigma, system, schema)
+    sources = {(m.lhs_rel, selection) for m in graph.members
+               for length in range(m.arity + 1)
+               for selection in itertools.permutations(m.lhs_attrs, length)}
     closed = [IND(rel, (), rel, ()) for rel in schema.relations]
-    closed += [IND(*source, *target) for source in graph
-               for target in _search(graph, source) if target != source]
+    closed += [IND(*source, *target) for source in sources
+               for target in graph.search(source) if target != source]
     return sorted(closed, key=ind_sort_key)
 
 
@@ -214,19 +220,13 @@ def derives(sigma: Iterable[IND], tau: IND, system: RuleSystem,
     """Decide derivability by one search from ``tau``'s left side and return
     a checked proof on success."""
     validate_ind(tau, schema)
-    sigma = set(sigma)
-    if tau.is_reflexive:
-        for member in sorted(sigma, key=ind_sort_key):  # else _graph checks them
-            validate_ind(member, schema)
-        proof = DerivationProof(RULE_REFLEXIVITY, tau)
-    else:
-        graph = _graph(sigma, system, schema)
-        parents = _search(graph, (tau.lhs_rel, tau.lhs_attrs))
-        target = (tau.rhs_rel, tau.rhs_attrs)
-        if target not in parents:
-            return False, None
-        proof = _path_proof(graph, parents, target)
-    check_proof(proof, sigma)
+    graph = DerivationGraph(sigma, system, schema)
+    parents = graph.search((tau.lhs_rel, tau.lhs_attrs))
+    target = (tau.rhs_rel, tau.rhs_attrs)
+    if target not in parents:
+        return False, None
+    proof = graph.path_proof(parents, target)
+    check_proof(proof, graph.sigma)
     return True, proof
 
 

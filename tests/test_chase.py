@@ -28,7 +28,7 @@ from kindb.chase import (
     trace_to_json,
 )
 from kindb.ind import IND, parse_ind, satisfies, satisfies_all
-from kindb.infer import RuleSystem, derives, saturate
+from kindb.infer import DerivationGraph, RuleSystem, derives, saturate
 from kindb.kdb import (
     STAR,
     load_database,
@@ -194,10 +194,32 @@ def test_plus_chase_terminates_on_ws_closed_sets():
     for _ in range(25):
         sigma = set(rng.sample(pool, rng.randint(0, 3)))
         closed = saturate(sigma, RuleSystem.STANDARD_WS, schema)
+        members = DerivationGraph(sigma, RuleSystem.STANDARD_WS, schema).members
         tau = rng.choice(taus)
-        trace = plus_chase(canonical_start(tau, schema, NATURALS), closed)
-        assert trace.outcome == OUTCOME_TERMINATED
-        assert satisfies_all(trace.result, closed)
+        derivable = derives(sigma, tau, RuleSystem.STANDARD_WS, schema)[0]
+        for deps in (closed, members):
+            trace = plus_chase(canonical_start(tau, schema, NATURALS), deps)
+            assert trace.outcome == OUTCOME_TERMINATED
+            assert satisfies_all(trace.result, closed)
+            assert satisfies(trace.result, tau) == derivable
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plus_chase_by_members_decides_ws_derivability(data):
+    """The additive chase by the assumptions and their weak-symmetry
+    reversals terminates, yields a model of the closure, and holds the query
+    exactly when it is derivable."""
+    schema = data.draw(schemas(arity=4))
+    sigma = set(data.draw(st.lists(dependencies(schema), max_size=8)))
+    tau = data.draw(dependencies(schema))
+    if data.draw(st.booleans()):
+        sigma |= balance_instances(sigma, tau)
+    members = DerivationGraph(sigma, RuleSystem.STANDARD_WS, schema).members
+    trace = plus_chase(canonical_start(tau, schema, NATURALS), members)
+    assert trace.outcome == OUTCOME_TERMINATED
+    assert satisfies_all(trace.result, saturate(sigma, RuleSystem.STANDARD_WS, schema))
+    assert satisfies(trace.result, tau) == derives(sigma, tau, RuleSystem.STANDARD_WS, schema)[0]
 
 
 def test_plus_chase_over_rationals():

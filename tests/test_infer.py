@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dependencies, reference_closure, schemas
-from kindb.entail import decide_entailment
+from kindb.entail import CONSTRUCTION_SA, CONSTRUCTION_WC_EMBED, decide_entailment
 from kindb.errors import (
     DuplicateIndex,
     IndexOutOfRange,
@@ -260,3 +260,25 @@ def test_long_chain_proof_stays_shallow():
     check_proof(proof, sigma)
     assert proof_to_json(proof)["conclusion"] == format_ind(tau)
     assert proof_to_text(proof).count("[axiom]") == 1_199
+
+
+def test_wide_arity_inverse_is_found_without_enumerating_selections():
+    # 16-ary assumptions have about 5.7e13 index selections; the search
+    # visits only the sides it reaches
+    lhs, rhs = tuple(f"A{i}" for i in range(16)), tuple(f"B{i}" for i in range(16))
+    sigma = {IND("R", lhs, "S", rhs), IND("S", (), "R", ())}
+    inverse_tau = IND("S", rhs, "R", lhs)
+    schema = infer_schema([*sigma, inverse_tau])
+    ok, proof = derives(sigma, inverse_tau, RuleSystem.STANDARD_WS, schema)
+    assert ok and proof.conclusion == inverse_tau
+    check_proof(proof, sigma)
+    assert derives(sigma, inverse_tau, RuleSystem.STANDARD, schema) == (False, None)
+
+    verdict = decide_entailment(sigma, inverse_tau, NATURALS)
+    assert verdict.entailed and verdict.proof.rule == RULE_WEAK_SYMMETRY
+    verdict = decide_entailment(sigma, inverse_tau, BOOLEAN)
+    assert not verdict.entailed and verdict.countermodel.construction == CONSTRUCTION_SA
+    reversed_tau = IND("R", lhs[::-1], "S", rhs)
+    verdict = decide_entailment(sigma, reversed_tau, NATURALS)
+    assert not verdict.entailed
+    assert verdict.countermodel.construction == CONSTRUCTION_WC_EMBED
