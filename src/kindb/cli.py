@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entail.add_argument("--monoid", default="naturals")
     p_entail.add_argument("--balanced", action="store_true")
     p_entail.add_argument("--step-limit", type=int, default=10_000)
-    p_entail.add_argument("--system", choices=[s.value for s in RuleSystem],
+    p_entail.add_argument("--system", choices=["standard", "ws", "balance"],
                           help="decide pure derivability in this rule system instead")
     p_entail.add_argument("--json", action="store_true")
     p_entail.set_defaults(func=cmd_entail)

@@ -6,6 +6,9 @@ dependency in the additive chase of its canonical start by the assumptions
 and the reversals weak symmetry allows, which have the closure's models.  For
 a weakly absorptive monoid, the standard rules alone are sound and complete,
 and the classical chase of the canonical start by the assumptions decides.
+Over balanced databases the balance axioms join either system, so the
+members of its ``DerivationGraph`` include the balance instances between
+the relations the input mentions; countermodels then come out balanced.
 Each positive answer carries a checked derivation, each negative answer a
 countermodel, re-verified before it is returned.  The constructions are:
 
@@ -18,24 +21,18 @@ countermodel, re-verified before it is returned.  The constructions are:
   along a caller-supplied absorption chain a_0..a_n that is not constant
   (``build_countermodel_ca``; a constant chain gives ``sa_embedding``).
 
-``decide_entailment`` returns the first two.  ``build_countermodel_wc`` and
-``build_countermodel_ca`` build all three from a caller-supplied generator
-or chain.
-
-Entailment over balanced databases reduces to the unrestricted problem by
-augmenting the assumptions with every arity-0 dependency between relations
-mentioned in the input; countermodels then come out balanced.
+``decide_entailment`` returns the first two, and ``build_countermodel_ca``
+builds the last two from a caller-supplied chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
     ChaseBudgetExceeded,
     CountermodelError,
-    ElementError,
     InvalidChain,
     NoCountermodel,
     UnclassifiedMonoid,
@@ -43,15 +40,7 @@ from .errors import (
 )
 from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
 from .ind import IND, format_ind, ind_sort_key, infer_schema, satisfies
-from .infer import (
-    RULE_AXIOM,
-    RULE_BALANCE,
-    DerivationGraph,
-    DerivationProof,
-    RuleSystem,
-    derives,
-    proof_to_json,
-)
+from .infer import DerivationGraph, DerivationProof, RuleSystem, proof_to_json
 from .kdb import KDatabase, Schema, degree, dump_database, is_balanced, make_database
 from .monoid import (
     BOOLEAN,
@@ -105,19 +94,6 @@ class EntailmentVerdict:
         return out
 
 
-def balance_instances(sigma: Iterable[IND], tau: IND) -> set[IND]:
-    """All arity-0 dependencies between relations mentioned by the input."""
-    mentioned = {r for s in [*sigma, tau] for r in (s.lhs_rel, s.rhs_rel)}
-    return {IND(a, (), b, ()) for a in mentioned for b in mentioned if a != b}
-
-
-def _relabel_balance(proof: DerivationProof, balance: set[IND]) -> DerivationProof:
-    if proof.rule == RULE_AXIOM and proof.conclusion in balance:
-        return DerivationProof(RULE_BALANCE, proof.conclusion)
-    return replace(proof, premises=tuple(_relabel_balance(p, balance)
-                                         for p in proof.premises))
-
-
 def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IND],
               tau: IND, balanced: bool) -> Countermodel:
     """The countermodel, once ``sigma`` holds in ``db``, ``tau`` fails there
@@ -128,18 +104,6 @@ def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IN
         raise CountermodelError(
             f"{construction} countermodel failed verification for {format_ind(tau)}")
     return Countermodel(db, construction, params)
-
-
-def _plus_chased(tau: IND, schema: Schema, sigma: Iterable[IND],
-                 config: Optional[ChaseConfig]) -> KDatabase:
-    """The additive chase of the canonical start by ``sigma`` and the
-    reversals weak symmetry gives."""
-    members = DerivationGraph(sigma, RuleSystem.STANDARD_WS, schema).members
-    trace = plus_chase(canonical_start(tau, schema, NATURALS), members, config)
-    if not trace.terminated:
-        raise ChaseBudgetExceeded(
-            "additive chase exceeded its budget on the assumptions and their reversals")
-    return trace.result
 
 
 def _embedded(counts: KDatabase, m: MonoidSpec, b: Element, sigma: Iterable[IND],
@@ -172,11 +136,10 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
 
     Dispatch follows the monoid's property report; pass ``report`` to
     override the declared classification of a builtin.  One search for
-    ``tau`` gives the verdict and the proof, and one chase of the canonical
-    start the countermodel: additive by the assumptions and their reversals
-    when weakly cancellative, classical by the assumptions when weakly
-    absorptive (with the balance instances, if any).  The search and the
-    chase must agree.
+    ``tau`` in one ``DerivationGraph`` gives the verdict and the proof, and
+    one chase of the canonical start by the graph's members the
+    countermodel: additive when weakly cancellative, classical when weakly
+    absorptive.  The search and the chase must agree.
     """
     sigma = set(sigma)
     given = sorted(sigma | {tau}, key=ind_sort_key)
@@ -195,23 +158,24 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     if m.is_finite and m.nonzero_idempotent() is None:
         raise UnsupportedMonoid("entailment requires a non-trivial monoid")
 
-    balance_added = balance_instances(sigma, tau) - sigma if balanced else set()
-    sigma_star = sigma | balance_added
     wc = report.weakly_cancellative
     method = METHOD_BALANCED if balanced else (
         METHOD_PLUS_CHASE if wc else METHOD_CLASSICAL_CHASE)
 
-    system = RuleSystem.STANDARD_WS if wc else RuleSystem.STANDARD
-    derivable, proof = derives(sigma_star, tau, system, schema)
+    graph = DerivationGraph(sigma, RuleSystem.of(wc, balanced), schema)
+    derivable, proof = graph.derives(tau)
     if wc:
-        chased = _plus_chased(tau, schema, sigma_star, config)
+        trace = plus_chase(canonical_start(tau, schema, NATURALS), graph.members, config)
+        if not trace.terminated:
+            raise ChaseBudgetExceeded(
+                "additive chase exceeded its budget on the assumptions and their reversals")
+        chased = trace.result
     else:
-        chased = classical_chase(canonical_start(tau, schema, BOOLEAN), sigma_star)[0]
+        chased = classical_chase(canonical_start(tau, schema, BOOLEAN), graph.members)[0]
     if satisfies(chased, tau) != derivable:
         raise CountermodelError(f"chase and derivability disagree on {format_ind(tau)}")
 
     if derivable:
-        proof = _relabel_balance(proof, balance_added) if balance_added else proof
         return EntailmentVerdict(True, method, proof=proof)
 
     if wc:
@@ -224,25 +188,6 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
                 "it has no nonzero idempotent")
         cm = _stratified(chased, m, [idem] * (tau.arity + 1), sigma, tau, balanced)
     return EntailmentVerdict(False, method, countermodel=cm)
-
-
-def build_countermodel_wc(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
-                          b: Element,
-                          config: Optional[ChaseConfig] = None,
-                          schema: Optional[Schema] = None) -> Countermodel:
-    """Countermodel for a weakly cancellative target: the additive chase of
-    the canonical start, with each count n re-weighted to the n-fold sum of
-    the nonzero generator ``b``."""
-    sigma = set(sigma)
-    if schema is None:
-        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
-    b = m.check(b)
-    if b == m.zero:
-        raise ElementError("the embedding generator must be nonzero")
-    chased = _plus_chased(tau, schema, sigma, config)
-    if satisfies(chased, tau):
-        raise NoCountermodel(f"{format_ind(tau)} holds in the chased canonical start")
-    return _embedded(chased, m, b, sigma, tau, balanced=False)
 
 
 def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,

@@ -1,12 +1,16 @@
 """Proof-producing derivability for inclusion dependencies.
 
-Three rule systems are supported:
+A rule system is the standard rules (reflexivity, transitivity,
+projection/permutation) with or without each of two extensions: weak
+symmetry (from ``R[A..] <= S[B..]`` and ``S[] <= R[]`` conclude
+``S[B..] <= R[A..]``) and the balance axioms (``S[] <= R[]`` for every pair of
+relations).  ``RuleSystem.of`` names the four systems by those two flags:
 
-* ``STANDARD``: reflexivity, transitivity, projection/permutation;
-* ``STANDARD_WS``: the standard rules plus weak symmetry (from
-  ``R[A..] <= S[B..]`` and ``S[] <= R[]`` conclude ``S[B..] <= R[A..]``);
-* ``STANDARD_BALANCE``: the standard rules, weak symmetry and the balance
-  axioms ``S[] <= R[]`` for all relation pairs.
+* ``STANDARD`` (``"standard"``): the standard rules alone;
+* ``STANDARD_WS`` (``"ws"``): the standard rules and weak symmetry;
+* ``STANDARD_BALANCE`` (``"standard+balance"``): the standard rules and the
+  balance axioms;
+* ``STANDARD_WS_BALANCE`` (``"balance"``): both, which amounts to symmetry.
 
 Derivability is reachability.  Projection and permutation commute with the
 other rules, so a derivation applies them to assumptions only and is then a
@@ -26,12 +30,14 @@ reversed, and the reversed path derives Y <= X.  A reversal gives no arity-0
 edge, so it cannot change the reachability that admits it.
 
 An edge records only its member and index selection.  Proofs are built only
-along the path ``derives`` returns, each edge's rule read off its member: an
-axiom or its projection for an assumption, a balance leaf for another arity-0
-member, and for a reversal weak symmetry over the forward edge's proof and
-the arity-0 path proof of its premise.  The edges are composed pairwise, so a
-proof's depth is logarithmic in the path's length.  ``saturate`` searches
-from each selection of each member's left side and returns facts only.
+along the path ``DerivationGraph.derives`` finds, each edge's rule read off
+its member: an axiom or its projection for an assumption, a balance leaf for
+another arity-0 member, and for a reversal weak symmetry over the forward
+edge's proof and the arity-0 path proof of its premise.  The edges are
+composed pairwise, so a proof's depth is logarithmic in the path's length,
+and each proof is checked against the graph's own rule system.
+``saturate`` searches from each selection of each member's left side and
+returns facts only.
 """
 
 from __future__ import annotations
@@ -53,17 +59,28 @@ from .kdb import Schema
 
 
 class RuleSystem(enum.Enum):
+    """The standard rules, with or without weak symmetry and the balance axioms."""
+
     STANDARD = "standard"
     STANDARD_WS = "ws"
-    STANDARD_BALANCE = "balance"
+    STANDARD_BALANCE = "standard+balance"
+    STANDARD_WS_BALANCE = "balance"
 
     @property
     def has_weak_symmetry(self) -> bool:
-        return self is not RuleSystem.STANDARD
+        return self in (RuleSystem.STANDARD_WS, RuleSystem.STANDARD_WS_BALANCE)
 
     @property
     def has_balance(self) -> bool:
-        return self is RuleSystem.STANDARD_BALANCE
+        return self in (RuleSystem.STANDARD_BALANCE, RuleSystem.STANDARD_WS_BALANCE)
+
+    @classmethod
+    def of(cls, weak_symmetry: bool, balance: bool) -> RuleSystem:
+        """The system with weak symmetry and the balance axioms as given."""
+        return _SYSTEMS[bool(weak_symmetry), bool(balance)]
+
+
+_SYSTEMS = {(s.has_weak_symmetry, s.has_balance): s for s in RuleSystem}
 
 
 RULE_AXIOM = "axiom"
@@ -132,7 +149,7 @@ class DerivationGraph(dict[Node, dict[Node, EdgeTag]]):
 
     def __init__(self, sigma: Iterable[IND], system: RuleSystem, schema: Schema):
         super().__init__()
-        self.sigma = set(sigma)
+        self.system, self.schema, self.sigma = system, schema, set(sigma)
         self.members = sorted(self.sigma, key=ind_sort_key)
         for member in self.members:
             validate_ind(member, schema)
@@ -183,6 +200,18 @@ class DerivationGraph(dict[Node, dict[Node, EdgeTag]]):
         forward = self._edge_proof(rhs, lhs, (inverse(member), selection))
         return DerivationProof(RULE_WEAK_SYMMETRY, conclusion, (forward, premise))
 
+    def derives(self, tau: IND) -> tuple[bool, Optional[DerivationProof]]:
+        """Decide derivability by one search from ``tau``'s left side and
+        return a proof, checked against this system, on success."""
+        validate_ind(tau, self.schema)
+        parents = self.search((tau.lhs_rel, tau.lhs_attrs))
+        target = (tau.rhs_rel, tau.rhs_attrs)
+        if target not in parents:
+            return False, None
+        proof = self.path_proof(parents, target)
+        check_proof(proof, self.sigma, self.system)
+        return True, proof
+
     def path_proof(self, parents: dict[Node, Optional[Node]],
                    target: Node) -> DerivationProof:
         """The proof of source <= ``target`` along a search's parent links
@@ -217,17 +246,8 @@ def saturate(sigma: Iterable[IND], system: RuleSystem, schema: Schema) -> list[I
 
 def derives(sigma: Iterable[IND], tau: IND, system: RuleSystem,
             schema: Schema) -> tuple[bool, Optional[DerivationProof]]:
-    """Decide derivability by one search from ``tau``'s left side and return
-    a checked proof on success."""
-    validate_ind(tau, schema)
-    graph = DerivationGraph(sigma, system, schema)
-    parents = graph.search((tau.lhs_rel, tau.lhs_attrs))
-    target = (tau.rhs_rel, tau.rhs_attrs)
-    if target not in parents:
-        return False, None
-    proof = graph.path_proof(parents, target)
-    check_proof(proof, graph.sigma)
-    return True, proof
+    """``DerivationGraph.derives`` on a graph of ``sigma`` built for this query."""
+    return DerivationGraph(sigma, system, schema).derives(tau)
 
 
 # -- proof validation and serialization ---------------------------------------------
@@ -254,12 +274,21 @@ def _yields(node: DerivationProof, sigma: set) -> bool:
     return weak_symmetry(*premises) == conclusion
 
 
-def check_proof(proof: DerivationProof, sigma: Iterable[IND]) -> None:
-    """Re-validate every node of a derivation tree; raises ProofError."""
+def check_proof(proof: DerivationProof, sigma: Iterable[IND],
+                system: Optional[RuleSystem] = None) -> None:
+    """Re-validate every node of a derivation tree; raises ProofError.  With
+    a ``system``, a weak-symmetry step or balance leaf outside it is invalid;
+    without one, every rule is admitted."""
     sigma = set(sigma)
+    outside = set() if system is None else {
+        rule for rule, admitted in ((RULE_WEAK_SYMMETRY, system.has_weak_symmetry),
+                                    (RULE_BALANCE, system.has_balance)) if not admitted}
     stack = [proof]
     while stack:
         node = stack.pop()
+        if node.rule in outside:
+            raise ProofError(f"{node.rule} step concluding {format_ind(node.conclusion)} "
+                             f"is outside the {system.value} system")
         try:
             valid = _yields(node, sigma)
         except (MiddleMismatch, PremiseMismatch, DuplicateIndex, IndexOutOfRange) as exc:

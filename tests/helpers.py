@@ -272,6 +272,14 @@ def reference_plus_chase(db: KDatabase, sigma, step_limit: int = 10_000) -> Chas
 
 # -- reference saturation --------------------------------------------------------
 
+def balance_instances(sigma, tau) -> set[IND]:
+    """All arity-0 dependencies between the relations the input mentions:
+    the balance axioms as assumptions, against which the balance flag of a
+    rule system is checked."""
+    mentioned = {r for s in [*sigma, tau] for r in (s.lhs_rel, s.rhs_rel)}
+    return {IND(a, (), b, ()) for a in mentioned for b in mentioned if a != b}
+
+
 def reference_closure(sigma, system: RuleSystem, schema: Schema) -> dict:
     """Derivability as a fixpoint: every index selection of the assumptions,
     the arity-0 reflexivity seeds and, where they apply, the balance

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     WEIGHT_POOLS,
+    balance_instances,
     dependencies,
     reference_marginal_at,
     reference_plus_chase,
     schemas,
     witness_pool,
 )
-from kindb.entail import balance_instances
 from kindb.errors import MonoidMismatch, UnsupportedMonoid
 from kindb.chase import (
     ChaseConfig,

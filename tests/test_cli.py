@@ -118,6 +118,11 @@ def test_entail_syntactic_mode(capsys, workspace):
     code, out, _ = run(capsys, "entail", str(workspace / "ws.txt"),
                        "Grant[proj] <= Budget[proj]", "--system", "standard")
     assert code == 1
+    # the CLI offers three of the four rule systems: standard + balance is library-only
+    with pytest.raises(SystemExit):
+        main(["entail", str(workspace / "ws.txt"), "Grant[proj] <= Budget[proj]",
+              "--system", "standard+balance"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_chase_plus_step_limit(capsys, workspace):

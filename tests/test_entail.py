@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kindb.entail
 import kindb.infer
-from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, dependencies, schemas
+from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, balance_instances, dependencies, schemas
 from kindb.errors import (
     CountermodelError,
     InvalidChain,
@@ -20,9 +20,7 @@ from kindb.entail import (
     CONSTRUCTION_CA,
     CONSTRUCTION_SA,
     CONSTRUCTION_WC_EMBED,
-    balance_instances,
     build_countermodel_ca,
-    build_countermodel_wc,
     decide_entailment,
 )
 from kindb.ind import infer_schema, parse_ind, satisfies
@@ -155,21 +153,19 @@ def test_balance_axiom_only_valid_when_balanced():
 
 
 def test_wc_countermodel_embedding():
+    # the same additive chase result, each count n weighted n*b
     sigma = {parse_ind("R[A] <= S[B]")}
     tau = parse_ind("S[B] <= R[A]")
-    identity = build_countermodel_wc(sigma, tau, NATURALS, 1)
-    assert identity.construction == CONSTRUCTION_WC_EMBED
-    halved = build_countermodel_wc(sigma, tau, NONNEG_RATIONALS, Fraction(1, 2))
-    for rel, kr in identity.database.relations.items():
+    counts = decide_entailment(sigma, tau, NATURALS).countermodel
+    assert counts.construction == CONSTRUCTION_WC_EMBED and counts.params == {"generator": 1}
+    scaled = decide_entailment(sigma, tau, NONNEG_RATIONALS).countermodel
+    b = scaled.params["generator"]
+    assert scaled.construction == CONSTRUCTION_WC_EMBED and b != 0
+    for rel, kr in counts.database.relations.items():
         for row, n in kr.weights.items():
-            assert halved.database.relation(rel).weights[row] == Fraction(n, 2)
-    assert all(satisfies(halved.database, s) for s in sigma)
-    assert not satisfies(halved.database, tau)
-
-
-def test_wc_countermodel_requires_refutable_tau():
-    with pytest.raises(NoCountermodel):
-        build_countermodel_wc({C2, C4}, C3, NATURALS, 1)
+            assert scaled.database.relation(rel).weights[row] == n * Fraction(b)
+    assert all(satisfies(scaled.database, s) for s in sigma)
+    assert not satisfies(scaled.database, tau)
 
 
 def test_ca_countermodel_on_boolean():
@@ -256,18 +252,20 @@ ONE_PASS_CASES = [
 @pytest.mark.parametrize("sigma,tau,m,balanced,entailed", ONE_PASS_CASES)
 def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, balanced,
                                                 entailed):
-    # one search decides and one chase builds the countermodel; no closure is built
-    calls = {"derives": 0, "saturate": 0, "chase": 0}
+    # one graph, searched once, decides; one chase by its members builds the
+    # countermodel; no closure is built
+    calls = {"graph": 0, "derives": 0, "saturate": 0, "chase": 0}
 
-    def spy(module, name, key):
-        real = getattr(module, name)
+    def spy(owner, name, key):
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    spy(kindb.entail, "derives", "derives")
+    spy(kindb.infer.DerivationGraph, "__init__", "graph")
+    spy(kindb.infer.DerivationGraph, "derives", "derives")
     spy(kindb.infer, "saturate", "saturate")
     # a binding of saturate in kindb.entail would be counted as well
     monkeypatch.setattr(kindb.entail, "saturate", kindb.infer.saturate, raising=False)
@@ -275,16 +273,16 @@ def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, bala
     spy(kindb.entail, "classical_chase", "chase")
     verdict = decide_entailment(sigma, tau, m, balanced=balanced)
     assert verdict.entailed == entailed
-    assert calls == {"derives": 1, "saturate": 0, "chase": 1}
+    assert calls == {"graph": 1, "derives": 1, "saturate": 0, "chase": 1}
 
 
 def test_closure_and_chase_must_agree(monkeypatch):
-    real_derives = kindb.entail.derives
+    real_derives = kindb.infer.derives
     # the search misses a dependency that the chase derives by composition
     sigma = {parse_ind("R[A] <= S[B]"), parse_ind("S[B] <= T[C]")}
     tau = parse_ind("R[A] <= T[C]")
     assert real_derives(sigma, tau, RuleSystem.STANDARD, infer_schema([*sigma, tau]))[0]
-    monkeypatch.setattr(kindb.entail, "derives", lambda *args: (False, None))
+    monkeypatch.setattr(kindb.infer.DerivationGraph, "derives", lambda *args: (False, None))
     for m in (NATURALS, BOOLEAN):
         with pytest.raises(CountermodelError, match="disagree"):
             decide_entailment(sigma, tau, m)
@@ -293,7 +291,7 @@ def test_closure_and_chase_must_agree(monkeypatch):
     sigma = {parse_ind("R[A] <= S[B]")}
     assert not real_derives(sigma, DICH_TAU, RuleSystem.STANDARD_WS,
                             infer_schema([*sigma, DICH_TAU]))[0]
-    monkeypatch.setattr(kindb.entail, "derives",
+    monkeypatch.setattr(kindb.infer.DerivationGraph, "derives",
                         lambda *args: (True, DerivationProof("axiom", DICH_TAU)))
     for m in (NATURALS, BOOLEAN):
         with pytest.raises(CountermodelError, match="disagree"):

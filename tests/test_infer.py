@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from kindb.errors import (
 )
 from kindb.ind import IND, format_ind, infer_schema, parse_ind
 from kindb.infer import (
+    RULE_AXIOM,
+    RULE_BALANCE,
     RULE_WEAK_SYMMETRY,
     DerivationProof,
     RuleSystem,
@@ -87,11 +91,23 @@ def test_saturate_empty_sigma_only_seeds():
 def test_saturate_balance_gives_symmetry():
     schema = schema_of({"R": ("A",), "S": ("B",)})
     sigma = {parse_ind("R[A] <= S[B]")}
-    closed = saturate(sigma, RuleSystem.STANDARD_BALANCE, schema)
+    closed = saturate(sigma, RuleSystem.STANDARD_WS_BALANCE, schema)
     assert parse_ind("S[B] <= R[A]") in closed
     assert parse_ind("R[] <= S[]") in closed and parse_ind("S[] <= R[]") in closed
     ws_only = saturate(sigma, RuleSystem.STANDARD_WS, schema)
     assert parse_ind("S[B] <= R[A]") not in ws_only
+    balance_only = saturate(sigma, RuleSystem.STANDARD_BALANCE, schema)
+    assert parse_ind("S[] <= R[]") in balance_only
+    assert parse_ind("S[B] <= R[A]") not in balance_only
+
+
+def test_rule_system_flags():
+    assert [(s.value, s.has_weak_symmetry, s.has_balance) for s in RuleSystem] == [
+        ("standard", False, False), ("ws", True, False),
+        ("standard+balance", False, True), ("balance", True, True)]
+    for system in RuleSystem:
+        assert RuleSystem.of(system.has_weak_symmetry, system.has_balance) is system
+        assert RuleSystem(system.value) is system
 
 
 def test_derives_weak_symmetry_proof():
@@ -171,6 +187,38 @@ def test_check_proof_rejects_bogus():
         check_proof(wrong_trans, {C1, C2})
 
 
+FORGED_SIGMA = {parse_ind("R[A] <= S[B]")}
+FORGED = DerivationProof(RULE_WEAK_SYMMETRY, parse_ind("S[B] <= R[A]"), (
+    DerivationProof(RULE_AXIOM, parse_ind("R[A] <= S[B]")),
+    DerivationProof(RULE_BALANCE, parse_ind("S[] <= R[]"))))
+
+
+@pytest.mark.parametrize("system", [RuleSystem.STANDARD, RuleSystem.STANDARD_WS,
+                                    RuleSystem.STANDARD_BALANCE])
+def test_check_proof_rejects_rules_outside_its_system(system):
+    # weak symmetry over a balance leaf needs both; without a system, any rule goes
+    with pytest.raises(ProofError, match=re.escape(f"outside the {system.value} system")):
+        check_proof(FORGED, FORGED_SIGMA, system)
+    check_proof(FORGED, FORGED_SIGMA)
+    check_proof(FORGED, FORGED_SIGMA, RuleSystem.STANDARD_WS_BALANCE)
+
+
+def test_balanced_weakly_absorptive_proof_uses_balance_without_weak_symmetry():
+    sigma = {parse_ind("R[A] <= S[B]")}
+    tau = parse_ind("S[] <= R[]")
+    verdict = decide_entailment(sigma, tau, BOOLEAN, balanced=True)
+    assert verdict.entailed and verdict.proof.rule == RULE_BALANCE
+    check_proof(verdict.proof, sigma, RuleSystem.STANDARD_BALANCE)
+    # the inverse needs weak symmetry as well
+    inverse_tau = parse_ind("S[B] <= R[A]")
+    schema = infer_schema([*sigma, tau])
+    assert derives(sigma, inverse_tau, RuleSystem.STANDARD_BALANCE, schema) == (False, None)
+    ok, proof = derives(sigma, inverse_tau, RuleSystem.STANDARD_WS_BALANCE, schema)
+    assert ok and proof.rule == RULE_WEAK_SYMMETRY
+    with pytest.raises(ProofError, match=re.escape("outside the standard+balance system")):
+        check_proof(proof, sigma, RuleSystem.STANDARD_BALANCE)
+
+
 def test_check_proof_rejects_plain_symmetry_as_unknown_rule():
     node = DerivationProof("symmetry", C3, (DerivationProof("axiom", C2),))
     with pytest.raises(ProofError, match="unknown rule 'symmetry'"):
@@ -227,6 +275,7 @@ def test_search_matches_reference_closure(data):
             ok, proof = derives(sigma, ind, system, schema)
             assert ok and proof.conclusion == ind
             check_proof(proof, axioms)
+            check_proof(proof, sigma, system)
         ok, proof = derives(sigma, tau, system, schema)
         assert ok == (tau.is_reflexive or tau in closed)
         assert proof is None if not ok else proof.conclusion == tau
