@@ -12,7 +12,6 @@ from .chase import (
     ChaseConfig,
     ChaseStep,
     ChaseTrace,
-    applicable,
     canonical_start,
     classical_chase,
     plus_chase,
@@ -53,7 +52,6 @@ from .kdb import (
     KDatabase,
     KRelation,
     Schema,
-    db_add,
     degree,
     dump_database,
     is_balanced,
@@ -100,14 +98,12 @@ __all__ = [
     "PropertyReport",
     "RuleSystem",
     "Schema",
-    "applicable",
     "brute_force_balanced_entails",
     "brute_force_entails",
     "build_countermodel_ca",
     "canonical_start",
     "check_proof",
     "classical_chase",
-    "db_add",
     "decide_entailment",
     "degree",
     "derives",

@@ -90,28 +90,14 @@ def canonical_start(tau: IND, schema: Schema, monoid: MonoidSpec) -> KDatabase:
     return make_database(schema, monoid, {tau.lhs_rel: {row: 1}})
 
 
-def _require_wc_order(m: MonoidSpec) -> None:
-    if not m.has_total_wc_order:
-        raise UnsupportedMonoid(
-            f"the additive chase needs a total weakly cancellative order; {m.name} lacks one")
-
-
-def applicable(db: KDatabase, sigma: IND, witness: Row) -> bool:
-    """True iff the left marginal at the witness is not below the right one."""
-    m = db.monoid
-    _require_wc_order(m)
-    validate_ind(sigma, db.schema)
-    lhs = marginalize(db.relation(sigma.lhs_rel), sigma.lhs_attrs, m).weights
-    rhs = marginalize(db.relation(sigma.rhs_rel), sigma.rhs_attrs, m).weights
-    return not m.leq(lhs.get(witness, m.zero), rhs.get(witness, m.zero))
-
-
 def plus_chase(db: KDatabase, sigma: Iterable[IND],
                config: Optional[ChaseConfig] = None) -> ChaseTrace:
     """Run the additive chase to completion or to the step limit."""
     cfg = config or ChaseConfig()
     m = db.monoid
-    _require_wc_order(m)
+    if not m.has_total_wc_order:
+        raise UnsupportedMonoid(
+            f"the additive chase needs a total weakly cancellative order; {m.name} lacks one")
     inds = sorted(set(sigma), key=ind_sort_key)
     for s in inds:
         validate_ind(s, db.schema)

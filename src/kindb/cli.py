@@ -97,9 +97,9 @@ def cmd_check(args) -> int:
 def cmd_entail(args) -> int:
     sigma = set(load_ind_file(args.sigma))
     tau = parse_ind(args.tau)
-    schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
     if args.system is not None:
         # syntactic mode: decide derivability in the requested rule system
+        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
         ok, proof = derives(sigma, tau, RuleSystem(args.system), schema)
         payload = {"derivable": ok, "system": args.system}
         if proof is not None:
@@ -108,8 +108,7 @@ def cmd_entail(args) -> int:
         return EXIT_YES if ok else EXIT_NO
     m = _load_monoid_arg(args.monoid)
     verdict = decide_entailment(sigma, tau, m, balanced=args.balanced,
-                                config=ChaseConfig(step_limit=args.step_limit),
-                                schema=schema)
+                                config=ChaseConfig(step_limit=args.step_limit))
     _print_json(verdict.to_json())
     if not args.json and verdict.proof is not None:
         print(proof_to_text(verdict.proof), file=sys.stderr)

@@ -47,7 +47,6 @@ from .monoid import (
     Element,
     MonoidSpec,
     NATURALS,
-    PropertyReport,
     embed_naturals,
 )
 
@@ -82,11 +81,13 @@ class Countermodel:
 class EntailmentVerdict:
     entailed: bool
     method: str
+    system: RuleSystem  # the rules a proof may use
     proof: Optional[DerivationProof] = None
     countermodel: Optional[Countermodel] = None
 
     def to_json(self) -> dict:
-        out: dict = {"entailed": self.entailed, "method": self.method}
+        out: dict = {"entailed": self.entailed, "method": self.method,
+                     "system": self.system.value}
         if self.proof is not None:
             out["proof"] = proof_to_json(self.proof)
         if self.countermodel is not None:
@@ -129,13 +130,11 @@ def _stratified(chased: KDatabase, m: MonoidSpec, chain: list[Element],
 def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
                       balanced: bool = False,
                       config: Optional[ChaseConfig] = None,
-                      schema: Optional[Schema] = None,
-                      report: Optional[PropertyReport] = None) -> EntailmentVerdict:
+                      schema: Optional[Schema] = None) -> EntailmentVerdict:
     """Decide whether the assumptions entail ``tau`` over databases
     annotated in ``m`` (optionally restricted to balanced databases).
 
-    Dispatch follows the monoid's property report; pass ``report`` to
-    override the declared classification of a builtin.  One search for
+    Dispatch follows the monoid's property report.  One search for
     ``tau`` in one ``DerivationGraph`` gives the verdict and the proof, and
     one chase of the canonical start by the graph's members the
     countermodel: additive when weakly cancellative, classical when weakly
@@ -149,20 +148,19 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     # balance check) ignore unrelated parts of a wider schema
     mentioned = {r for s in given for r in (s.lhs_rel, s.rhs_rel)}
     schema = Schema({r: schema.attributes(r) for r in sorted(mentioned)})
-    if report is None:
-        try:
-            report = m.classify()
-        except UnsupportedMonoid as exc:
-            raise UnclassifiedMonoid(f"cannot classify {m.name}: {exc}") from exc
+    try:
+        wc = m.classify().weakly_cancellative
+    except UnsupportedMonoid as exc:
+        raise UnclassifiedMonoid(f"cannot classify {m.name}: {exc}") from exc
     # a finite positive monoid is nontrivial iff it has a nonzero idempotent
     if m.is_finite and m.nonzero_idempotent() is None:
         raise UnsupportedMonoid("entailment requires a non-trivial monoid")
 
-    wc = report.weakly_cancellative
     method = METHOD_BALANCED if balanced else (
         METHOD_PLUS_CHASE if wc else METHOD_CLASSICAL_CHASE)
+    system = RuleSystem.of(wc, balanced)
 
-    graph = DerivationGraph(sigma, RuleSystem.of(wc, balanced), schema)
+    graph = DerivationGraph(sigma, system, schema)
     derivable, proof = graph.derives(tau)
     if wc:
         trace = plus_chase(canonical_start(tau, schema, NATURALS), graph.members, config)
@@ -176,7 +174,7 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
         raise CountermodelError(f"chase and derivability disagree on {format_ind(tau)}")
 
     if derivable:
-        return EntailmentVerdict(True, method, proof=proof)
+        return EntailmentVerdict(True, method, system, proof=proof)
 
     if wc:
         cm = _embedded(chased, m, m.some_nonzero(), sigma, tau, balanced)
@@ -187,7 +185,7 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
                 f"no countermodel construction applies to {m.name}: "
                 "it has no nonzero idempotent")
         cm = _stratified(chased, m, [idem] * (tau.arity + 1), sigma, tau, balanced)
-    return EntailmentVerdict(False, method, countermodel=cm)
+    return EntailmentVerdict(False, method, system, countermodel=cm)
 
 
 def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,

@@ -112,10 +112,6 @@ def satisfies(db: KDatabase, sigma: IND) -> bool:
     return all(m.leq(w, rhs.get(point, zero)) for point, w in lhs.items())
 
 
-def satisfies_all(db: KDatabase, sigmas: Iterable[IND]) -> bool:
-    return all(satisfies(db, s) for s in sigmas)
-
-
 def infer_schema(sigmas: Iterable[IND]) -> Schema:
     """Minimal schema mentioning exactly the relations and attributes of the
     given dependencies, in first-seen order."""

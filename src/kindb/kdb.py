@@ -4,6 +4,12 @@ A K-relation maps rows to nonzero monoid weights (finite support; a missing
 row weighs zero).  Rows are plain tuples of constant strings in the
 relation's attribute order.  The constant ``*`` is reserved for the chase
 and rejected in user input.
+
+Weights are validated where they enter: ``make_database`` checks each one,
+and ``load_database`` parses each one, naming the relation of a bad weight.
+A ``KDatabase`` built any other way must hold elements in normal form, since
+the monoid arithmetic (``marginalize``, ``is_balanced``, the chases) does not
+check them again.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from typing import Iterable, Mapping, Union
 from .errors import (
     DuplicateAttribute,
     ElementError,
-    MonoidMismatch,
     ParseError,
     SchemaMismatch,
     StarConstantError,
@@ -163,23 +168,6 @@ def support(db: KDatabase) -> KDatabase:
         BOOLEAN,
         {rel: {row: 1 for row in kr.weights} for rel, kr in db.relations.items()},
     )
-
-
-def db_add(a: KDatabase, b: KDatabase) -> KDatabase:
-    """Pointwise sum of two databases over the same schema and monoid."""
-    if a.schema != b.schema:
-        raise SchemaMismatch("cannot add databases over different schemas")
-    if a.monoid != b.monoid:
-        raise MonoidMismatch("cannot add databases over different monoids")
-    m = a.monoid
-    merged: dict[str, dict[Row, Element]] = {}
-    for rel in a.schema.relations:
-        out = dict(a.relations[rel].weights)
-        for row, w in b.relations[rel].weights.items():
-            prior = out.get(row)
-            out[row] = w if prior is None else m.add(prior, w)
-        merged[rel] = out
-    return make_database(a.schema, m, merged)
 
 
 def is_balanced(db: KDatabase) -> bool:

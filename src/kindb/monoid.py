@@ -15,6 +15,11 @@ rationals under addition, naturals under max, and the monogenic quotients
 m0 = m0+l).  Arbitrary finite monoids load from an explicit operation table
 and are validated exhaustively.
 
+Elements are validated once, where they enter: ``check`` and
+``parse_element`` return an element's normal form or raise ``ElementError``,
+and the arithmetic (``add``, ``add_all``, ``leq``, ``monus``) and
+``format_element`` trust their operands to be such normal forms.
+
 Finite monoids need no search to classify: the multiples of a nonzero a
 eventually cycle, the cycle holds an idempotent, and positivity keeps it
 nonzero, so every nontrivial finite monoid is self absorptive.
@@ -109,7 +114,10 @@ class MonoidSpec:
     """A positive commutative monoid together with element codecs.
 
     Instances are immutable and hashable; elements are plain Python values
-    (ints, Fractions, or element-name strings for table monoids).
+    (ints, Fractions, or element-name strings for table monoids).  Only
+    ``check`` and ``parse_element`` validate; the arithmetic and
+    ``format_element`` take elements that they returned, or that the
+    arithmetic made from such elements, and do not check them again.
     """
 
     name: str = "abstract"
@@ -117,7 +125,8 @@ class MonoidSpec:
     # -- carrier -------------------------------------------------------------
 
     def check(self, value: Element) -> Element:
-        """Validate ``value`` and return its normal form."""
+        """Validate ``value`` and return its normal form; raise
+        ``ElementError`` when it is not an element."""
         raise NotImplementedError
 
     @property
@@ -232,7 +241,7 @@ class _Naturals(MonoidSpec):
         return 1
 
     def leq(self, a, b):
-        return self.check(a) <= self.check(b)
+        return a <= b
 
     def parse_element(self, text):
         try:
@@ -241,7 +250,7 @@ class _Naturals(MonoidSpec):
             raise ElementError(f"cannot parse {self.name} weight {text!r}") from None
 
     def format_element(self, value):
-        return str(self.check(value))
+        return str(value)
 
 
 class BooleanMonoid(_Naturals):
@@ -251,7 +260,7 @@ class BooleanMonoid(_Naturals):
     size = 2
 
     def add(self, a, b):
-        return self.check(a) | self.check(b)
+        return a | b
 
     def classify(self) -> PropertyReport:
         return _IDEMPOTENT_REPORT
@@ -263,13 +272,12 @@ class NaturalsMonoid(_Naturals):
     name = "naturals"
 
     def add(self, a, b):
-        return self.check(a) + self.check(b)
+        return a + b
 
     def add_all(self, values):
-        return sum(map(self.check, values))
+        return sum(values)
 
     def monus(self, a, b):
-        a, b = self.check(a), self.check(b)
         if b > a:
             raise NotSubtractable(f"{b} is not below {a}")
         return a - b
@@ -300,16 +308,15 @@ class NonnegRationalsMonoid(MonoidSpec):
         return Fraction(1)
 
     def add(self, a, b):
-        return self.check(a) + self.check(b)
+        return a + b
 
     def add_all(self, values):
-        return sum(map(self.check, values), Fraction(0))
+        return sum(values, Fraction(0))
 
     def leq(self, a, b):
-        return self.check(a) <= self.check(b)
+        return a <= b
 
     def monus(self, a, b):
-        a, b = self.check(a), self.check(b)
         if b > a:
             raise NotSubtractable(f"{b} is not below {a}")
         return a - b
@@ -324,8 +331,8 @@ class NonnegRationalsMonoid(MonoidSpec):
             raise ElementError(f"cannot parse rational weight {text!r}") from None
 
     def format_element(self, value):
-        v = self.check(value)
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        n, d = value.numerator, value.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
 
 
 class MaxNaturalsMonoid(_Naturals):
@@ -334,7 +341,7 @@ class MaxNaturalsMonoid(_Naturals):
     name = "max_naturals"
 
     def add(self, a, b):
-        return max(self.check(a), self.check(b))
+        return max(a, b)
 
     def classify(self) -> PropertyReport:
         return _IDEMPOTENT_REPORT
@@ -359,7 +366,7 @@ class MonogenicMonoid(_Naturals):
         self.name = f"monogenic:{index},{period}"
 
     def add(self, a, b):
-        s = self.check(a) + self.check(b)
+        s = a + b
         if s < self.size:
             return s
         return (s - self.index) % self.period + self.index
@@ -367,7 +374,6 @@ class MonogenicMonoid(_Naturals):
     def leq(self, a, b):
         # every cycle element is reached from any a; below the cycle a sum
         # never wraps, so a + c = b is plain integer addition
-        a, b = self.check(a), self.check(b)
         return b >= self.index or a <= b
 
     def classify(self) -> PropertyReport:
@@ -465,10 +471,10 @@ class TableMonoid(MonoidSpec):
         raise UnsupportedMonoid(f"{self.name} is trivial")
 
     def add(self, a, b):
-        return self._op[(self.check(a), self.check(b))]
+        return self._op[(a, b)]
 
     def leq(self, a, b):
-        return self.check(b) in self._reach[self.check(a)]
+        return b in self._reach[a]
 
     def classify(self) -> PropertyReport:
         reach, els = self._reach, self._elements
@@ -482,7 +488,7 @@ class TableMonoid(MonoidSpec):
         return self.check(text)
 
     def format_element(self, value):
-        return self.check(value)
+        return value
 
     def key(self):
         return self._key

@@ -31,7 +31,13 @@ import itertools
 from typing import Iterable, Optional
 
 from .entail import Countermodel
-from .errors import CountermodelError, ParseError, SearchSpaceTooLarge, StarConstantError
+from .errors import (
+    CountermodelError,
+    ElementError,
+    ParseError,
+    SearchSpaceTooLarge,
+    StarConstantError,
+)
 from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
 from .kdb import STAR, Schema, make_database
 from .monoid import Element, MonoidSpec
@@ -119,8 +125,11 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
         validate_ind(s, schema)
 
     constants = sorted(set(adom))
-    pool = sorted({m.check(w) for w in weight_pool if m.check(w) != m.zero},
-                  key=m.format_element)
+    try:
+        pool = {m.check(w) for w in weight_pool}
+    except ElementError as exc:
+        raise ElementError(f"weight_pool: {exc}") from None
+    pool = sorted(pool - {m.zero}, key=m.format_element)
     rels = sorted(schema.relations)
     if _space_size([len(constants) ** len(schema.relations[r]) for r in rels], len(pool),
                    max_tuples, max_candidates) > max_candidates:

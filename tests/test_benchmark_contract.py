@@ -1,7 +1,8 @@
-"""The entail-mix benchmark's inputs, run in process against its expected
-answers and its own certificate checker, so that a change to the entry
-points it calls (``RuleSystem`` by value, ``decide_entailment``, the module
-``derives``, ``check_proof`` with two arguments) fails here first."""
+"""The benchmark's inputs, run in process against their expected answers
+and the benchmark's own certificate checker, so that a change to the entry
+points they call (``RuleSystem`` by value, ``decide_entailment``, the module
+``derives``, ``check_proof`` with two arguments, ``kindb check`` and
+``kindb chase --plus --json``) fails here first."""
 
 import json
 import pathlib
@@ -20,3 +21,20 @@ def test_entail_mix_pool_gives_its_expected_answers(monkeypatch):
         item = mix.item(i)
         answer, _, problems, _ = mix.check(item, mix.run(item))
         assert (answer, problems) == (want, []), f"input {i}: {item}"
+
+
+def test_check_repair_pool_gives_its_expected_answers(monkeypatch, tmp_path):
+    """The check-repair inputs (``kindb check`` of large databases, ``kindb
+    chase --plus --json`` repairs) through load, marginalize, the natural
+    order and the chase JSON, against their expected answers."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    repair = workloads.CheckRepair()
+    expected = json.loads((PERFBENCH / "expected" / "check-repair.json").read_text())["answers"]
+    assert len(expected) == repair.pool_size() == 24
+    items = {i: repair.item(i) for i in range(repair.pool_size())}
+    repair.prepare(items, tmp_path)
+    for i, want in enumerate(expected):
+        answer, _, problems, _ = repair.check(items[i], repair.run(items[i]))
+        assert (json.loads(json.dumps(answer)), problems) == (want, []), f"input {i}"

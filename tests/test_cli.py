@@ -91,6 +91,8 @@ def test_entail_weak_symmetry_proof(capsys, workspace):
     doc = json.loads(out)
     assert doc["entailed"] is True
     assert doc["proof"]["rule"] == "weak_symmetry"
+    # the verdict names the rule system its proof is checked against
+    assert doc["system"] == "ws"
 
 
 def test_entail_boolean_countermodel(capsys, workspace):
@@ -103,6 +105,10 @@ def test_entail_boolean_countermodel(capsys, workspace):
     assert all(satisfies(db, parse_ind(s)) for s in ("Budget[proj] <= Grant[proj]",
                                                       "Grant[] <= Budget[]"))
     assert not satisfies(db, parse_ind("Grant[proj] <= Budget[proj]"))
+    assert doc["system"] == "standard"
+    code, out, _ = run(capsys, "entail", str(workspace / "ws.txt"),
+                       "Grant[proj] <= Budget[proj]", "--monoid", "boolean", "--balanced")
+    assert json.loads(out)["system"] == "standard+balance"
 
 
 def test_entail_unknown_monoid(capsys, workspace):

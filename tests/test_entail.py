@@ -31,6 +31,7 @@ from kindb.monoid import (
     MAX_NATURALS,
     NATURALS,
     NONNEG_RATIONALS,
+    NaturalsMonoid,
     monogenic,
 )
 from kindb.oracle import brute_force_balanced_entails, brute_force_entails
@@ -207,16 +208,24 @@ def test_ca_rejects_derivable_tau():
                               parse_ind("R[A] <= S[B]"), BOOLEAN, [1, 1])
 
 
+class AbsorptiveNaturals(NaturalsMonoid):
+    """The naturals, misclassified as weakly absorptive: a caller's own
+    ``MonoidSpec`` whose report has no nonzero idempotent behind it."""
+
+    def classify(self):
+        return BOOLEAN.classify()
+
+
 def test_classification_override():
-    wa_report = BOOLEAN.classify()
-    # the override drives dispatch: under the absorptive reading the
+    m = AbsorptiveNaturals()
+    # the classification drives dispatch: under the absorptive reading the
     # weak-symmetry conclusion is no longer derivable, and the countermodel
     # constructions rightly refuse a monoid without absorption witnesses
     with pytest.raises(UnsupportedMonoid):
-        decide_entailment(DICH_SIGMA, DICH_TAU, NATURALS, report=wa_report)
+        decide_entailment(DICH_SIGMA, DICH_TAU, m)
     # derivable queries stay entailed whatever the dispatch
     member = parse_ind("R[A] <= S[B]")
-    verdict = decide_entailment({member}, member, NATURALS, report=wa_report)
+    verdict = decide_entailment({member}, member, m)
     assert verdict.entailed and verdict.method == "classical_chase"
 
 

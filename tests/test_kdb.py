@@ -3,15 +3,12 @@ import random
 import pytest
 
 from kindb.errors import (
-    MonoidMismatch,
     ParseError,
-    SchemaMismatch,
     StarConstantError,
     UnknownAttribute,
 )
 from kindb.kdb import (
     STAR,
-    db_add,
     degree,
     dump_database,
     is_balanced,
@@ -21,7 +18,7 @@ from kindb.kdb import (
     schema_of,
     support,
 )
-from kindb.monoid import BOOLEAN, MAX_NATURALS, NATURALS, NONNEG_RATIONALS, monogenic
+from kindb.monoid import BOOLEAN, NATURALS
 
 
 def test_load_budgets_fixture(budgets_db):
@@ -72,44 +69,6 @@ def test_support_drops_zero_weight_rows(warehouse_db):
 def test_support_of_empty_database():
     db = make_database(schema_of({"R": ["A"]}), NATURALS)
     assert support(db).relation("R").weights == {}
-
-
-def test_db_add():
-    schema = schema_of({"R": ["A"]})
-    d1 = make_database(schema, NATURALS, {"R": {("t",): 2}})
-    d2 = make_database(schema, NATURALS, {"R": {("t",): 3}})
-    zero = make_database(schema, NATURALS)
-    assert db_add(d1, d2).relation("R").weights == {("t",): 5}
-    assert db_add(d1, zero) == d1
-    b1 = make_database(schema, BOOLEAN, {"R": {("t",): 1}})
-    assert db_add(b1, b1) == b1
-    with pytest.raises(MonoidMismatch):
-        db_add(d1, b1)
-    with pytest.raises(SchemaMismatch):
-        db_add(d1, make_database(schema_of({"S": ["A"]}), NATURALS))
-
-
-def test_db_add_support_union_property():
-    rng = random.Random(7)
-    schema = schema_of({"R": ["A", "B"], "S": ["C"]})
-    monoids = [NATURALS, BOOLEAN, MAX_NATURALS, NONNEG_RATIONALS, monogenic(2, 3)]
-    consts = ["a", "b", "c"]
-    for m in monoids:
-        pool = [w for w in ([1, 2, 3] if m.name != "boolean" else [1])
-                if m.name != "monogenic:2,3" or w <= 4]
-        for _ in range(20):
-            def rand_db():
-                return make_database(schema, m, {
-                    "R": {(rng.choice(consts), rng.choice(consts)): rng.choice(pool)
-                          for _ in range(rng.randint(0, 3))},
-                    "S": {(rng.choice(consts),): rng.choice(pool)
-                          for _ in range(rng.randint(0, 2))},
-                })
-            d1, d2 = rand_db(), rand_db()
-            total = db_add(d1, d2)
-            for rel in schema.relations:
-                assert total.relation(rel).support() == (
-                    d1.relation(rel).support() | d2.relation(rel).support())
 
 
 def test_is_balanced(budgets_db):

@@ -1,9 +1,12 @@
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from helpers import reference_classify
-from kindb.entail import decide_entailment
+from kindb.cli import main
+from kindb.entail import build_countermodel_ca, decide_entailment
 from kindb.errors import (
     ElementError,
     InvalidMonoidTable,
@@ -12,6 +15,7 @@ from kindb.errors import (
     UnsupportedMonoid,
 )
 from kindb.ind import parse_ind
+from kindb.kdb import load_database, make_database, schema_of
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
@@ -26,6 +30,7 @@ from kindb.monoid import (
     parse_monoid,
     table_from_dict,
 )
+from kindb.oracle import brute_force_entails
 
 from test_acceptance import _fixture_tables
 
@@ -67,15 +72,6 @@ def test_add_commutative_associative_identity():
                     assert m.add(m.add(a, b), c) == m.add(a, m.add(b, c))
 
 
-def test_add_rejects_foreign_elements():
-    with pytest.raises(ElementError):
-        NATURALS.add(2, -1)
-    with pytest.raises(ElementError):
-        BOOLEAN.add(0, 2)
-    with pytest.raises(ElementError):
-        MONO23.add(5, 0)
-
-
 def test_add_all_folds_add_from_zero():
     for m, values in [(NATURALS, [3, 0, True, 4]), (NONNEG_RATIONALS, [Fraction(1, 2), 1, 0]),
                       (BOOLEAN, [0, 1, 1]), (MAX_NATURALS, [2, 7, 3]), (MONO23, [3, 4, 2])]:
@@ -84,10 +80,62 @@ def test_add_all_folds_add_from_zero():
             folded = m.add(folded, v)
         assert m.add_all(values) == folded
         assert m.add_all([]) == m.zero
-    with pytest.raises(ElementError):
-        NATURALS.add_all([2, -1])
-    with pytest.raises(ElementError):
-        NONNEG_RATIONALS.add_all([Fraction(1, 2), Fraction(-1, 2)])
+
+
+def test_sums_of_nonzero_elements_are_nonzero():
+    # positivity: a pointwise sum of weights keeps the union of the supports
+    for m in ALL_BUILTINS:
+        values = [m.check(w) for w in ([0, 1, 2, 3] if m is not BOOLEAN else [0, 1])]
+        for a, b in itertools.product(values, repeat=2):
+            assert (m.add(a, b) != m.zero) == (a != m.zero or b != m.zero)
+
+
+TABLE_0A = table_from_dict({"elements": ["0", "a"], "zero": "0",
+                            "op": {"0,0": "0", "0,a": "a", "a,a": "a"}})
+
+
+@pytest.mark.parametrize("m,value,text", [
+    (NATURALS, -1, "-1"),
+    (BOOLEAN, 2, "2"),
+    (MONO23, 5, "5"),
+    (NONNEG_RATIONALS, Fraction(-1, 2), "-1/2"),
+    (TABLE_0A, "z", "z"),
+], ids=["naturals", "boolean", "monogenic", "rationals", "table"])
+def test_foreign_elements_are_rejected_at_the_boundary(m, value, text, tmp_path, capsys):
+    """Every entry point validates the elements it takes in; the arithmetic
+    behind them trusts its operands."""
+    schema = schema_of({"R": ["A"]})
+    tau = parse_ind("R[A] <= S[B]")
+    entries = [
+        lambda: m.check(value),
+        lambda: m.parse_element(text),
+        lambda: make_database(schema, m, {"R": {("x",): value}}),
+        lambda: brute_force_entails(set(), tau, m, adom=["x"], weight_pool=[value],
+                                    max_tuples=1),
+        lambda: build_countermodel_ca(set(), tau, m, [value, value]),
+        lambda: embed_naturals(m, value, 2),
+    ]
+    for entry in entries:
+        with pytest.raises(ElementError):
+            entry()
+    doc = {"monoid": m.as_dict(), "schema": {"R": ["A"]},
+           "relations": {"R": [{"tuple": {"A": "x"}, "weight": text}]}}
+    with pytest.raises(ElementError, match=r"R\.weight"):
+        load_database(doc)
+    with pytest.raises(ElementError, match="weight_pool"):
+        brute_force_entails(set(), tau, m, adom=["x"], weight_pool=[value], max_tuples=1)
+
+    (tmp_path / "db.json").write_text(json.dumps(doc))
+    (tmp_path / "inds.txt").write_text("R[A] <= R[A]\n")
+    (tmp_path / "oracle.json").write_text(json.dumps({
+        "monoid": m.as_dict(), "sigma": [], "tau": "R[A] <= S[B]", "adom": ["x"],
+        "weight_pool": [text], "max_tuples": 1}))
+    for argv, field in ((["check", str(tmp_path / "db.json"), str(tmp_path / "inds.txt")],
+                         "R.weight"),
+                        (["oracle", str(tmp_path / "oracle.json")], "weight_pool")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
 
 def test_natural_leq():
