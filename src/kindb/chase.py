@@ -16,7 +16,11 @@ Two variants:
   differential test on random inputs checks that it terminates and agrees
   with derivability.
 
-Both record replayable traces.  The additive chase makes passes over the
+Both grow a copy of the start and return it, and both record replayable
+traces.  The classical chase reads a queue of rows, seeded with the start's
+rows (relations and rows sorted) and extended by each row it adds; each row
+is read once per dependency on its relation, and the result keeps its rows
+in queue order.  The additive chase makes passes over the
 dependencies in canonical order; for each it visits the points of the left
 marginal in sorted order.  Elsewhere the left side weighs zero, so no step
 applies there.  A step equalizes the marginals at its witness; a point it
@@ -101,10 +105,9 @@ def plus_chase(db: KDatabase, sigma: Iterable[IND],
     inds = sorted(set(sigma), key=ind_sort_key)
     for s in inds:
         validate_ind(s, db.schema)
-    work = db.copy().relations
+    result = db.copy()
     steps: list[ChaseStep] = []
-    outcome = _plus_passes(work, inds, m, cfg.step_limit, steps)
-    result = make_database(db.schema, m, {rel: kr.weights for rel, kr in work.items()})
+    outcome = _plus_passes(result.relations, inds, m, cfg.step_limit, steps)
     return ChaseTrace(db.copy(), steps, outcome, result)
 
 
@@ -144,34 +147,29 @@ def classical_chase(db: KDatabase, sigma: Iterable[IND]) -> tuple[KDatabase, Cha
     """Close a boolean-weighted database under the star-padding repair rule.
 
     The closure is finite (tuples range over the start's active domain plus
-    the star) and independent of application order; the deterministic order
-    used here makes traces reproducible.
+    the star) and independent of application order; reading rows in queue
+    order makes traces reproducible whatever the hash seed.
     """
     if db.monoid != BOOLEAN:
         raise MonoidMismatch("the classical chase operates on boolean-weighted databases")
-    inds = sorted(set(sigma), key=ind_sort_key)
-    prepared = []
-    for s in inds:
+    by_lhs: dict[str, list] = {rel: [] for rel in db.relations}
+    for s in sorted(set(sigma), key=ind_sort_key):
         validate_ind(s, db.schema)
         lhs_pos = db.schema.positions(s.lhs_rel, s.lhs_attrs)
-        prepared.append((s, lhs_pos, db.schema.attributes(s.rhs_rel)))
+        by_lhs[s.lhs_rel].append((s, lhs_pos, db.schema.attributes(s.rhs_rel)))
 
-    work: dict[str, set[Row]] = {rel: set(kr.weights) for rel, kr in db.relations.items()}
+    result = db.copy()
+    work = {rel: kr.weights for rel, kr in result.relations.items()}
+    queue = [(rel, row) for rel in sorted(work) for row in sorted(work[rel])]
     steps: list[ChaseStep] = []
-    changed = True
-    while changed:
-        changed = False
-        for s, lhs_pos, layout in prepared:
-            for row in sorted(work[s.lhs_rel]):
-                witness = tuple(row[i] for i in lhs_pos)
-                target = star_padded(layout, s.rhs_attrs, witness)
-                if target not in work[s.rhs_rel]:
-                    work[s.rhs_rel].add(target)
-                    steps.append(ChaseStep(KIND_RULE_STAR, s, witness, target))
-                    changed = True
-
-    result = make_database(db.schema, BOOLEAN,
-                           {rel: {row: 1 for row in rows} for rel, rows in work.items()})
+    for rel, row in queue:  # grows while it is read
+        for s, lhs_pos, layout in by_lhs[rel]:
+            witness = tuple(row[i] for i in lhs_pos)
+            target = star_padded(layout, s.rhs_attrs, witness)
+            if target not in work[s.rhs_rel]:
+                work[s.rhs_rel][target] = 1
+                steps.append(ChaseStep(KIND_RULE_STAR, s, witness, target))
+                queue.append((s.rhs_rel, target))
     return result, ChaseTrace(db.copy(), steps, OUTCOME_TERMINATED, result)
 
 
@@ -181,16 +179,15 @@ def replay(trace: ChaseTrace) -> KDatabase:
     The rebuilt database must equal the recorded result bit for bit; this is
     the integrity check for serialized traces.
     """
-    db = trace.start
+    db = trace.start.copy()
     m = db.monoid
-    work = {rel: dict(kr.weights) for rel, kr in db.relations.items()}
     for step in trace.steps:
+        weights = db.relations[step.sigma.rhs_rel].weights
         if step.kind == KIND_RULE_STAR:
-            work[step.sigma.rhs_rel][step.incremented] = 1
+            weights[step.incremented] = 1
         else:
-            prior = work[step.sigma.rhs_rel].get(step.incremented, m.zero)
-            work[step.sigma.rhs_rel][step.incremented] = m.add(prior, step.delta)
-    return make_database(db.schema, m, work)
+            weights[step.incremented] = m.add(weights.get(step.incremented, m.zero), step.delta)
+    return db
 
 
 def trace_to_json(trace: ChaseTrace) -> dict:

@@ -41,7 +41,7 @@ from .errors import (
 from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
 from .ind import IND, format_ind, ind_sort_key, infer_schema, satisfies
 from .infer import DerivationGraph, DerivationProof, RuleSystem, proof_to_json
-from .kdb import KDatabase, Schema, degree, dump_database, is_balanced, make_database
+from .kdb import KDatabase, KRelation, Schema, degree, dump_database, is_balanced
 from .monoid import (
     BOOLEAN,
     Element,
@@ -110,8 +110,9 @@ def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IN
 def _embedded(counts: KDatabase, m: MonoidSpec, b: Element, sigma: Iterable[IND],
               tau: IND, balanced: bool) -> Countermodel:
     """Re-weight each count n of an additive chase result to n*b, and verify."""
-    db = make_database(counts.schema, m, {
-        rel: {row: embed_naturals(m, b, n) for row, n in kr.weights.items()}
+    db = KDatabase(counts.schema, m, {
+        rel: KRelation(kr.attributes, {row: embed_naturals(m, b, n)
+                                       for row, n in kr.weights.items()})
         for rel, kr in counts.relations.items()})
     return _verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
 
@@ -120,8 +121,9 @@ def _stratified(chased: KDatabase, m: MonoidSpec, chain: list[Element],
                 sigma: Iterable[IND], tau: IND, balanced: bool) -> Countermodel:
     """Weight each tuple of a classical chase result a_{n - degree}, n the
     arity of ``tau``, and verify."""
-    db = make_database(chased.schema, m, {
-        rel: {row: chain[tau.arity - degree(row)] for row in kr.weights}
+    db = KDatabase(chased.schema, m, {
+        rel: KRelation(kr.attributes, {row: chain[tau.arity - degree(row)]
+                                       for row in kr.weights})
         for rel, kr in chased.relations.items()})
     construction = CONSTRUCTION_SA if len(set(chain)) == 1 else CONSTRUCTION_CA
     return _verified(db, construction, {"chain": chain}, sigma, tau, balanced)

@@ -95,8 +95,9 @@ class InvalidConfig(KindbError):
 
 
 class ChaseBudgetExceeded(KindbError):
-    """The additive chase hit its step limit in a context where termination
-    is guaranteed; this signals an internal defect, not bad input."""
+    """The additive chase hit its step limit inside ``decide_entailment``.
+    No termination proof for the chased member list is written down, so the
+    limit guards it; the CLI exits 3 on this error."""
 
 
 class NoCountermodel(KindbError):

@@ -9,7 +9,8 @@ Weights are validated where they enter: ``make_database`` checks each one,
 and ``load_database`` parses each one, naming the relation of a bad weight.
 A ``KDatabase`` built any other way must hold elements in normal form, since
 the monoid arithmetic (``marginalize``, ``is_balanced``, the chases) does not
-check them again.
+check them again.  Chase results, ``replay``, ``support`` and countermodels
+are built that way, from elements the arithmetic made.
 """
 
 from __future__ import annotations
@@ -163,11 +164,9 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
 
 def support(db: KDatabase) -> KDatabase:
     """The boolean-weighted database of nonzero rows."""
-    return make_database(
-        db.schema,
-        BOOLEAN,
-        {rel: {row: 1 for row in kr.weights} for rel, kr in db.relations.items()},
-    )
+    return KDatabase(db.schema, BOOLEAN, {
+        rel: KRelation(kr.attributes, dict.fromkeys(kr.weights, 1))
+        for rel, kr in db.relations.items()})
 
 
 def is_balanced(db: KDatabase) -> bool:

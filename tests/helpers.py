@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 from kindb.chase import (
     KIND_PLUS_RULE,
+    KIND_RULE_STAR,
     OUTCOME_STEP_LIMIT,
     OUTCOME_TERMINATED,
     ChaseStep,
@@ -268,6 +269,33 @@ def reference_plus_chase(db: KDatabase, sigma, step_limit: int = 10_000) -> Chas
         steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
         idle = 0
     return ChaseTrace(db.copy(), steps, outcome, make_database(db.schema, m, work))
+
+
+# -- reference classical chase ------------------------------------------------
+
+def reference_classical_chase(db: KDatabase, sigma) -> ChaseTrace:
+    """The classical chase as passes over the dependencies in canonical
+    order, each re-reading every row of its left relation (sorted), until a
+    pass adds nothing."""
+    inds = sorted(set(sigma), key=ind_sort_key)
+    work = {rel: set(kr.weights) for rel, kr in db.relations.items()}
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for s in inds:
+            lhs_pos = db.schema.positions(s.lhs_rel, s.lhs_attrs)
+            layout = db.schema.attributes(s.rhs_rel)
+            for row in sorted(work[s.lhs_rel]):
+                witness = tuple(row[i] for i in lhs_pos)
+                target = star_padded(layout, s.rhs_attrs, witness)
+                if target not in work[s.rhs_rel]:
+                    work[s.rhs_rel].add(target)
+                    steps.append(ChaseStep(KIND_RULE_STAR, s, witness, target))
+                    changed = True
+    result = make_database(db.schema, db.monoid,
+                           {rel: dict.fromkeys(rows, 1) for rel, rows in work.items()})
+    return ChaseTrace(db.copy(), steps, OUTCOME_TERMINATED, result)
 
 
 # -- reference saturation --------------------------------------------------------

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,11 +12,13 @@ from helpers import (
     WEIGHT_POOLS,
     balance_instances,
     dependencies,
+    reference_classical_chase,
     reference_marginal_at,
     reference_plus_chase,
     schemas,
     witness_pool,
 )
+import kindb.chase
 from kindb.errors import MonoidMismatch, UnsupportedMonoid
 from kindb.chase import (
     ChaseConfig,
@@ -311,3 +316,72 @@ def test_classical_chase_by_sigma_decides_standard_derivability(data):
     for deps in (sigma, sigma | balance_instances(sigma, tau)):
         chased, _ = classical_chase(canonical_start(tau, schema, BOOLEAN), deps)
         assert satisfies(chased, tau) == derives(deps, tau, RuleSystem.STANDARD, schema)[0]
+
+
+def permutation_chase(n):
+    """The canonical start of R[A0..An-1] <= T[A0..An-1] and two assumptions
+    on R, a cyclic shift and a swap of A0 and A1, whose chase holds all n!
+    orderings of the start's row."""
+    attrs = tuple(f"A{i}" for i in range(n))
+    sigma = [IND("R", attrs, "R", attrs[1:] + attrs[:1]),
+             IND("R", attrs, "R", attrs[1::-1] + attrs[2:])]
+    tau = IND("R", attrs, "T", attrs)
+    return canonical_start(tau, schema_of({"R": attrs, "T": attrs}), BOOLEAN), sigma
+
+
+def test_classical_chase_reads_each_row_once_per_dependency(monkeypatch):
+    db, sigma = permutation_chase(6)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return star_padded(*args)
+
+    monkeypatch.setattr(kindb.chase, "star_padded", counted)
+    result, trace = classical_chase(db, sigma)
+    assert len(result.relation("R").weights) == 720
+    assert len(trace.steps) == 719
+    assert len(calls) == 720 * 2  # one per row and dependency on R
+    assert trace.result is result
+
+
+def test_classical_chase_row_order_ignores_the_hash_seed():
+    call = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_chase import permutation_chase\n"
+            "from kindb.chase import classical_chase\n"
+            "result, _ = classical_chase(*permutation_chase(4))\n"
+            "print(list(result.relation('R').weights))\n")
+    src = os.path.dirname(os.path.dirname(kindb.chase.__file__))
+    outputs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", call, os.path.dirname(__file__)], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
+@st.composite
+def boolean_chase_inputs(draw):
+    rels = ["R", "S"][:draw(st.integers(1, 2))]
+    schema = schema_of({rel: CHASE_ATTRS[rel][:draw(st.integers(0, 3))] for rel in rels})
+    sigma = draw(st.lists(dependencies(schema), min_size=1, max_size=4))
+    db = make_database(schema, BOOLEAN, {
+        rel: draw(st.dictionaries(st.tuples(*[st.sampled_from(["a", "b", STAR])] * len(attrs)),
+                                  st.just(1), max_size=3))
+        for rel, attrs in schema.relations.items()})
+    return db, sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(boolean_chase_inputs())
+def test_classical_chase_matches_reference_passes(inputs):
+    db, sigma = inputs
+    result, trace = classical_chase(db, sigma)
+    expected = reference_classical_chase(db, sigma)
+    assert ({rel: set(kr.weights) for rel, kr in result.relations.items()}
+            == {rel: set(kr.weights) for rel, kr in expected.result.relations.items()})
+    assert len(trace.steps) == len(expected.steps)
+    assert replay(trace) == result
+    assert all(satisfies(result, s) for s in sigma)
