@@ -47,7 +47,6 @@ from .monoid import (
     Element,
     MonoidSpec,
     NATURALS,
-    embed_naturals,
 )
 
 METHOD_PLUS_CHASE = "plus_chase"
@@ -110,8 +109,9 @@ def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IN
 def _embedded(counts: KDatabase, m: MonoidSpec, b: Element, sigma: Iterable[IND],
               tau: IND, balanced: bool) -> Countermodel:
     """Re-weight each count n of an additive chase result to n*b, and verify."""
+    b = m.check(b)
     db = KDatabase(counts.schema, m, {
-        rel: KRelation(kr.attributes, {row: embed_naturals(m, b, n)
+        rel: KRelation(kr.attributes, {row: m.times(b, n)
                                        for row, n in kr.weights.items()})
         for rel, kr in counts.relations.items()})
     return _verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)

@@ -11,12 +11,17 @@ A ``KDatabase`` built any other way must hold elements in normal form, since
 the monoid arithmetic (``marginalize``, ``is_balanced``, the chases) does not
 check them again.  Chase results, ``replay``, ``support`` and countermodels
 are built that way, from elements the arithmetic made.
+
+A marginal groups the rows by their values on the queried attributes and
+sums each group with one ``add_all`` of its carrier; over the rationals that
+sum is taken over the group's least common denominator and normalized once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -139,8 +144,10 @@ def degree(row: Row) -> int:
 def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelation:
     """Aggregate weights over all rows agreeing on ``attrs``.
 
-    The result is keyed in the order of the query sequence, not the storage
-    order, so positional comparison between different relations works.
+    Each group of rows is summed by one ``m.add_all`` (for the rationals, one
+    normalization per group), and zero sums are dropped.  The result is keyed
+    in the order of the query sequence, not the storage order, so positional
+    comparison between different relations works.
     """
     attrs = tuple(attrs)
     positions = []
@@ -149,12 +156,17 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
             positions.append(rel.attributes.index(a))
         except ValueError:
             raise UnknownAttribute(f"no attribute {a!r} in {rel.attributes}") from None
+    # one getter per call, always giving a tuple: a slice keeps a single
+    # position a 1-tuple and gives () for none
+    first = positions[0] if positions else 0
+    key = (itemgetter(*positions) if len(positions) > 1
+           else itemgetter(slice(first, first + len(positions))))
     groups: dict[Row, list[Element]] = {}
     for row, w in rel.weights.items():
-        key = tuple([row[i] for i in positions])
-        group = groups.get(key)
+        k = key(row)
+        group = groups.get(k)
         if group is None:
-            groups[key] = [w]
+            groups[k] = [w]
         else:
             group.append(w)
     zero = m.zero

@@ -17,7 +17,7 @@ and are validated exhaustively.
 
 Elements are validated once, where they enter: ``check`` and
 ``parse_element`` return an element's normal form or raise ``ElementError``,
-and the arithmetic (``add``, ``add_all``, ``leq``, ``monus``) and
+and the arithmetic (``add``, ``add_all``, ``times``, ``leq``, ``monus``) and
 ``format_element`` trust their operands to be such normal forms.
 
 Finite monoids need no search to classify: the multiples of a nonzero a
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -154,6 +155,18 @@ class MonoidSpec:
         result = self.zero
         for v in values:
             result = self.add(result, v)
+        return result
+
+    def times(self, a: Element, n: int) -> Element:
+        """The n-fold sum n*a of a natural number n, with 0*a = 0, by
+        doubling."""
+        result = self.zero
+        while n:
+            if n & 1:
+                result = self.add(result, a)
+            n >>= 1
+            if n:
+                a = self.add(a, a)
         return result
 
     def leq(self, a: Element, b: Element) -> bool:
@@ -311,7 +324,16 @@ class NonnegRationalsMonoid(MonoidSpec):
         return a + b
 
     def add_all(self, values):
-        return sum(values, Fraction(0))
+        # exact: numerators over the least common denominator, so the sum is
+        # normalized once instead of once per addend
+        num, den = 0, 1
+        for v in values:
+            n, d = v.as_integer_ratio()
+            if den % d:
+                lcm = den // gcd(den, d) * d
+                num, den = num * (lcm // den), lcm
+            num += n * (den // d)
+        return Fraction(num, den)
 
     def leq(self, a, b):
         return a <= b
@@ -325,7 +347,12 @@ class NonnegRationalsMonoid(MonoidSpec):
         return _CANCELLATIVE_REPORT
 
     def parse_element(self, text):
+        num, slash, den = text.partition("/")
         try:
+            # plain digits make a nonnegative fraction; any other spelling
+            # (sign, space, decimal point, exponent, underscore) is checked
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
             return self.check(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise ElementError(f"cannot parse rational weight {text!r}") from None
@@ -513,15 +540,7 @@ def embed_naturals(m: MonoidSpec, b: Element, n: int) -> Element:
     n = int(n)
     if n < 0:
         raise ElementError("multiplicity must be a natural number")
-    result = m.zero
-    addend = b
-    while n:
-        if n & 1:
-            result = m.add(result, addend)
-        n >>= 1
-        if n:
-            addend = m.add(addend, addend)
-    return result
+    return m.times(b, n)
 
 
 # -- registry ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
     StarConstantError,
 )
 from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
-from .kdb import STAR, Schema, make_database
+from .kdb import STAR, KDatabase, KRelation, Schema
 from .monoid import Element, MonoidSpec
 
 CONSTRUCTION_ENUMERATION = "enumeration"
@@ -263,8 +263,10 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
             picks = next(extend(frontiers[i], classes, i), None)
     if picks is None:
         return None
-    db = make_database(schema, m, {rel: dict(zip(rows, (values[w] for w in least)))
-                                   for rel, (_, rows, least) in zip(rels, picks)})
+    # pool elements are checked and nonzero, and rows are drawn from adom
+    db = KDatabase(schema, m, {
+        rel: KRelation(schema.relations[rel], dict(zip(rows, (values[w] for w in least))))
+        for rel, (_, rows, least) in zip(rels, picks)})
     # re-verify through the marginalization path before returning
     if any(not satisfies(db, member) for member in sigma) or satisfies(db, tau):
         raise CountermodelError("incremental check and marginal semantics disagree")

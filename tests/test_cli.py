@@ -73,6 +73,10 @@ TABLE = {"elements": ["0", "1"], "zero": "0"}
       "relations": {"R": [{"tuple": {"A": "a"}, "weight": "2"}]}}, "R.weight"),
     ({"monoid": "naturals", "schema": {"R": ["A"]},
       "relations": {"R": [{"tuple": {"A": "a"}, "weight": "many"}]}}, "R.weight"),
+    ({"monoid": "nonneg_rationals", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": {"A": "a"}, "weight": "1/0"}]}}, "R.weight"),
+    ({"monoid": "nonneg_rationals", "schema": {"R": ["A"]},
+      "relations": {"R": [{"tuple": {"A": "a"}, "weight": "-1/2"}]}}, "R.weight"),
 ])
 def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
     db = tmp_path / "db.json"
@@ -82,6 +86,32 @@ def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
     code, _, err = run(capsys, "check", str(db), str(inds))
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+def _rational_db(three_quarters, one) -> dict:
+    """R = {a: 3/4, b: 1}, S = {a: 3/4, b: 1/2}, T = {a: 1 + 3/4} (a repeated row)."""
+    rows = {"R": [("a", three_quarters), ("b", one)], "S": [("a", three_quarters), ("b", "1/2")],
+            "T": [("a", one), ("a", three_quarters)]}
+    return {"monoid": "nonneg_rationals", "schema": {rel: ["A"] for rel in rows},
+            "relations": {rel: [{"tuple": {"A": c}, "weight": w} for c, w in entries]
+                          for rel, entries in rows.items()}}
+
+
+@pytest.mark.parametrize("three_quarters,one", [
+    ("0.75", "1e0"), ("6/8", "2/2"), (" 3/4", "1.0"), ("3/4 ", "01"), (0.75, 1)])
+def test_check_reads_every_spelling_of_a_rational_weight_alike(capsys, tmp_path,
+                                                               three_quarters, one):
+    inds = tmp_path / "inds.txt"
+    inds.write_text("R[A] <= S[A]\nS[A] <= R[A]\nR[] <= T[]\nT[] <= R[]\nT[] <= S[]\n")
+    outputs = []
+    for doc in (_rational_db("3/4", "1"), _rational_db(three_quarters, one)):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", str(db), str(inds), "--json")
+        outputs.append((code, json.loads(out)["results"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
+    assert sorted(outputs[0][1].values()) == [False, False, True, True, True]
 
 
 def test_entail_weak_symmetry_proof(capsys, workspace):

@@ -169,6 +169,26 @@ def test_wc_countermodel_embedding():
     assert not satisfies(scaled.database, tau)
 
 
+@pytest.mark.parametrize("length", [1, 6])
+def test_wc_countermodel_checks_its_generator_once(monkeypatch, length):
+    # R0[A] <= R1[A] <= ... <= Rk[A] refutes R0[A] <= U[A]: the countermodel has
+    # one row per Ri; the canonical start checks its weight, and b is checked once
+    sigma = {parse_ind(f"R{i}[A] <= R{i + 1}[A]") for i in range(length)}
+    tau = parse_ind("R0[A] <= U[A]")
+    checked = []
+    real_check = NATURALS.check
+
+    def counting_check(value):
+        checked.append(value)
+        return real_check(value)
+    monkeypatch.setattr(NATURALS, "check", counting_check)
+    verdict = decide_entailment(sigma, tau, NATURALS)
+    rows = sum(len(kr.weights) for kr in verdict.countermodel.database.relations.values())
+    assert not verdict.entailed and rows == length + 1
+    assert verdict.countermodel.construction == CONSTRUCTION_WC_EMBED
+    assert len(checked) == 2
+
+
 def test_ca_countermodel_on_boolean():
     sigma = {parse_ind("R[A] <= S[B]")}
     tau = parse_ind("S[B] <= R[A]")

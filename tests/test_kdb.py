@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import BUILTIN_MONOIDS, reference_marginal_at
 from kindb.errors import (
     ParseError,
     StarConstantError,
@@ -18,7 +21,7 @@ from kindb.kdb import (
     schema_of,
     support,
 )
-from kindb.monoid import BOOLEAN, NATURALS
+from kindb.monoid import BOOLEAN, NATURALS, table_from_dict
 
 
 def test_load_budgets_fixture(budgets_db):
@@ -163,3 +166,38 @@ def test_fraction_weights_round_trip():
     }
     db = load_database(doc)
     assert dump_database(db)["relations"]["R"][0]["weight"] == "7/3"
+
+
+# 0 < a < b = b + b: a finite carrier that is neither numbers nor builtin
+TABLE_0AB = table_from_dict({"elements": ["0", "a", "b"], "zero": "0",
+                             "op": {"0,0": "0", "0,a": "a", "0,b": "b",
+                                    "a,a": "b", "a,b": "b", "b,b": "b"}})
+
+
+def _weights(m):
+    if m is TABLE_0AB:
+        return st.sampled_from(["0", "a", "b"])
+    if m.name == "nonneg_rationals":
+        return st.one_of(st.integers(0, 9),
+                         st.fractions(min_value=0, max_value=9, max_denominator=12))
+    return st.integers(0, 8 if m.size is None else m.size - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_marginalize_matches_reference_marginal(data):
+    m = data.draw(st.sampled_from(BUILTIN_MONOIDS + [TABLE_0AB]))
+    attrs = ("A", "B", "C", "D")[:data.draw(st.integers(1, 4))]
+    # two constants per column: rows share their points often
+    rows = st.tuples(*[st.sampled_from(["x", "y"]) for _ in attrs])
+    weights = data.draw(st.dictionaries(rows, _weights(m), max_size=12))
+    rel = make_database(schema_of({"R": attrs}), m, {"R": weights}).relation("R")
+    seq = tuple(data.draw(st.permutations(attrs))[:data.draw(st.integers(0, len(attrs)))])
+    marg = marginalize(rel, seq, m)
+    positions = [attrs.index(a) for a in seq]
+    points = {tuple(row[p] for p in positions) for row in rel.weights}
+    reference = {point: reference_marginal_at(rel.weights, positions, point, m)
+                 for point in points}
+    assert marg.attributes == seq
+    assert marg.weights == {point: w for point, w in reference.items() if w != m.zero}
+    assert all(m.check(w) == w and type(w) is type(m.zero) for w in marg.weights.values())

@@ -1,8 +1,11 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_classify
 from kindb.cli import main
@@ -73,13 +76,47 @@ def test_add_commutative_associative_identity():
 
 
 def test_add_all_folds_add_from_zero():
+    rng = random.Random(23)
+    # mixed denominators with int addends, and single elements of either kind
+    rationals = [[Fraction(rng.randint(0, 60), rng.choice([1, 2, 3, 4, 6, 7, 10, 12]))
+                  if rng.random() < 0.8 else rng.randint(0, 5)
+                  for _ in range(rng.randint(1, 30))] for _ in range(200)]
+    rationals += [[Fraction(5, 6)], [7], [True]]
     for m, values in [(NATURALS, [3, 0, True, 4]), (NONNEG_RATIONALS, [Fraction(1, 2), 1, 0]),
-                      (BOOLEAN, [0, 1, 1]), (MAX_NATURALS, [2, 7, 3]), (MONO23, [3, 4, 2])]:
+                      (BOOLEAN, [0, 1, 1]), (MAX_NATURALS, [2, 7, 3]), (MONO23, [3, 4, 2])] + [
+                          (NONNEG_RATIONALS, values) for values in rationals]:
         folded = m.zero
         for v in values:
             folded = m.add(folded, v)
-        assert m.add_all(values) == folded
+        assert m.add_all(values) == folded and type(m.add_all(values)) is type(folded)
+        assert m.add_all(v for v in values) == folded
         assert m.add_all([]) == m.zero
+
+
+def _assert_parses_as_checked_fraction(text):
+    try:
+        expected = NONNEG_RATIONALS.check(Fraction(text))
+    except (ValueError, ZeroDivisionError, ElementError):
+        expected = ElementError
+    try:
+        parsed = NONNEG_RATIONALS.parse_element(text)
+    except ElementError:
+        parsed = ElementError
+    assert parsed == expected and type(parsed) is type(expected)
+
+
+def test_rational_parse_element_matches_checked_fraction():
+    # digits-only texts skip the regex; every other spelling reads as before
+    for text in ["0", "0/7", "1/0", "6/8", " 3/4", "3 / 4", "+1", "-0", "-1/2", "1.5",
+                 "1e3", "1_000", "\u00b2", "\u0663/\u0664", "1" * 5000 + "/3", "/4", "4/"]:
+        _assert_parses_as_checked_fraction(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789/+-. _eE\u00b2\u0663\u0664", max_size=8),
+                 st.from_regex(r"\A[0-9]{1,6}(/[0-9]{1,4})?\Z")))
+def test_rational_parse_element_matches_checked_fraction_on_random_texts(text):
+    _assert_parses_as_checked_fraction(text)
 
 
 def test_sums_of_nonzero_elements_are_nonzero():
