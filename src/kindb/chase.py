@@ -37,7 +37,7 @@ from typing import Iterable, Optional
 
 from .errors import InvalidConfig, MonoidMismatch, UnsupportedMonoid
 from .ind import IND, format_ind, ind_sort_key, validate_ind
-from .kdb import STAR, KDatabase, KRelation, Row, Schema, make_database, marginalize
+from .kdb import STAR, KDatabase, KRelation, Row, Schema, dump_database, make_database, marginalize
 from .monoid import BOOLEAN, Element, MonoidSpec
 
 KIND_RULE_STAR = "rule_star"
@@ -99,7 +99,8 @@ def plus_chase(db: KDatabase, sigma: Iterable[IND],
     """Run the additive chase to completion or to the step limit."""
     cfg = config or ChaseConfig()
     m = db.monoid
-    if not m.has_total_wc_order:
+    report = m.classify()
+    if not (report.weakly_cancellative and report.natural_order_total):
         raise UnsupportedMonoid(
             f"the additive chase needs a total weakly cancellative order; {m.name} lacks one")
     inds = sorted(set(sigma), key=ind_sort_key)
@@ -191,8 +192,6 @@ def replay(trace: ChaseTrace) -> KDatabase:
 
 
 def trace_to_json(trace: ChaseTrace) -> dict:
-    from .kdb import dump_database
-
     m = trace.start.monoid
     return {
         "outcome": trace.outcome,

@@ -30,7 +30,7 @@ from .entail import decide_entailment
 from .errors import ChaseBudgetExceeded, ElementError, KindbError, ParseError
 from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
-from .kdb import KDatabase, load_database_file
+from .kdb import KDatabase, load_database_file, read_json_file
 from .monoid import BOOLEAN, NATURALS, parse_monoid, table_from_dict
 from .oracle import brute_force_balanced_entails, brute_force_entails
 
@@ -46,8 +46,7 @@ def _print_json(payload: dict) -> None:
 
 def _load_monoid_arg(spec: str):
     if spec.endswith(".json"):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return table_from_dict(json.load(fh))
+        return table_from_dict(read_json_file(spec))
     return parse_monoid(spec)
 
 
@@ -169,8 +168,7 @@ ORACLE_FIELDS = {
 
 
 def cmd_oracle(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = read_json_file(args.config)
     if not isinstance(config, dict):
         raise ParseError("oracle config must be a JSON object")
     for name in ("monoid", "sigma", "tau", "adom", "weight_pool", "max_tuples"):
@@ -251,7 +249,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ChaseBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (KindbError, OSError, json.JSONDecodeError) as exc:
+    except (KindbError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -35,7 +35,6 @@ from .errors import (
     CountermodelError,
     InvalidChain,
     NoCountermodel,
-    UnclassifiedMonoid,
     UnsupportedMonoid,
 )
 from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
@@ -79,10 +78,16 @@ class Countermodel:
 @dataclass
 class EntailmentVerdict:
     entailed: bool
-    method: str
     system: RuleSystem  # the rules a proof may use
     proof: Optional[DerivationProof] = None
     countermodel: Optional[Countermodel] = None
+
+    @property
+    def method(self) -> str:
+        """The decision procedure, read off the rule system."""
+        if self.system.has_balance:
+            return METHOD_BALANCED
+        return METHOD_PLUS_CHASE if self.system.has_weak_symmetry else METHOD_CLASSICAL_CHASE
 
     def to_json(self) -> dict:
         out: dict = {"entailed": self.entailed, "method": self.method,
@@ -150,16 +155,11 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     # balance check) ignore unrelated parts of a wider schema
     mentioned = {r for s in given for r in (s.lhs_rel, s.rhs_rel)}
     schema = Schema({r: schema.attributes(r) for r in sorted(mentioned)})
-    try:
-        wc = m.classify().weakly_cancellative
-    except UnsupportedMonoid as exc:
-        raise UnclassifiedMonoid(f"cannot classify {m.name}: {exc}") from exc
+    wc = m.classify().weakly_cancellative
     # a finite positive monoid is nontrivial iff it has a nonzero idempotent
     if m.is_finite and m.nonzero_idempotent() is None:
         raise UnsupportedMonoid("entailment requires a non-trivial monoid")
 
-    method = METHOD_BALANCED if balanced else (
-        METHOD_PLUS_CHASE if wc else METHOD_CLASSICAL_CHASE)
     system = RuleSystem.of(wc, balanced)
 
     graph = DerivationGraph(sigma, system, schema)
@@ -176,7 +176,7 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
         raise CountermodelError(f"chase and derivability disagree on {format_ind(tau)}")
 
     if derivable:
-        return EntailmentVerdict(True, method, system, proof=proof)
+        return EntailmentVerdict(True, system, proof=proof)
 
     if wc:
         cm = _embedded(chased, m, m.some_nonzero(), sigma, tau, balanced)
@@ -187,7 +187,7 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
                 f"no countermodel construction applies to {m.name}: "
                 "it has no nonzero idempotent")
         cm = _stratified(chased, m, [idem] * (tau.arity + 1), sigma, tau, balanced)
-    return EntailmentVerdict(False, method, system, countermodel=cm)
+    return EntailmentVerdict(False, system, countermodel=cm)
 
 
 def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,

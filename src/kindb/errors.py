@@ -86,10 +86,6 @@ class ProofError(KindbError):
 
 # -- chase / entailment layer ------------------------------------------------
 
-class UnclassifiedMonoid(KindbError):
-    pass
-
-
 class InvalidConfig(KindbError):
     """A chase setting is out of range."""
 

@@ -16,7 +16,6 @@ from .errors import (
     ArityMismatch,
     DuplicateAttribute,
     ParseError,
-    UnknownAttribute,
 )
 from .kdb import KDatabase, Schema, marginalize, schema_of
 
@@ -87,11 +86,8 @@ def parse_ind(text: str, schema: Optional[Schema] = None) -> IND:
 
 
 def validate_ind(sigma: IND, schema: Schema) -> None:
-    for rel, attrs in ((sigma.lhs_rel, sigma.lhs_attrs), (sigma.rhs_rel, sigma.rhs_attrs)):
-        layout = schema.attributes(rel)
-        for a in attrs:
-            if a not in layout:
-                raise UnknownAttribute(f"relation {rel} has no attribute {a!r}")
+    schema.positions(sigma.lhs_rel, sigma.lhs_attrs)
+    schema.positions(sigma.rhs_rel, sigma.rhs_attrs)
 
 
 def inverse(sigma: IND) -> IND:

@@ -195,6 +195,20 @@ def _number_constant(rel: str, attr: str, value) -> str:
     return str(value)
 
 
+def parse_json(text: str):
+    """Decode a JSON document.  Malformed JSON, nesting too deep to decode
+    and integer literals too long to convert all raise ``ParseError``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON: {exc}") from None
+
+
+def read_json_file(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_json(fh.read())
+
+
 def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
     """Parse the database interchange format.
 
@@ -205,7 +219,7 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
     unless ``allow_star`` is set (set when reloading chase output).
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = parse_json(obj)
     if not isinstance(obj, dict):
         raise ParseError("database document must be a JSON object")
     try:
@@ -254,8 +268,7 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
 
 
 def load_database_file(path: str) -> KDatabase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_database(json.load(fh))
+    return load_database(read_json_file(path))
 
 
 def dump_database(db: KDatabase) -> dict:

@@ -27,7 +27,7 @@ nonzero, so every nontrivial finite monoid is self absorptive.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Optional, Union
@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import (
     ElementError,
     InvalidMonoidTable,
+    KindbError,
     NotSubtractable,
     ParseError,
     UnsupportedMonoid,
@@ -49,66 +50,53 @@ MAX_TABLE_SIZE = 64
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Structural classification of a monoid.
+    """Structural classification of a positive monoid.
 
-    ``weakly_cancellative``: a + b = b forces a = 0.
-    ``weakly_absorptive``: some nonzero a, b satisfy a + b = b (exactly the
-    negation of weak cancellativity).
+    Four facts are stored: the dichotomy flag ``weakly_cancellative``
+    (a + b = b forces a = 0), whether the natural order is total and
+    antisymmetric, and the ``provenance``.
+
+    The rest is read off the flag.  Every monoid here is positive, and a
+    weakly absorptive one has a nonzero idempotent b (finite ones by the
+    module docstring, boolean and max-naturals outright), so b, b, ... is a
+    chain of every length; in a weakly cancellative one no chain goes past
+    a_0.
+    ``weakly_absorptive``: some nonzero a, b satisfy a + b = b.
     ``self_absorptive``: some nonzero b satisfies b + b = b.
-    ``k_absorptive_max``: the largest k admitting a chain a_0..a_k of
-    nonzero elements with a_i + a_{i+1} = a_{i+1}, or the string
-    ``"unbounded"`` when chains of every length exist.  It is 0 for the
-    naturals, the rationals and the trivial monoid, and ``"unbounded"`` for
-    every other builtin and finite monoid, where a nonzero idempotent
-    repeats forever.
-    ``countably_absorptive``: an infinite such chain exists.
+    ``countably_absorptive``: an infinite chain of nonzero a_i with
+    a_i + a_{i+1} = a_{i+1} exists.
+    ``k_absorptive_max``: the largest k admitting such a chain a_0..a_k, or
+    ``"unbounded"``.
     """
 
-    positive: bool
     weakly_cancellative: bool
-    weakly_absorptive: bool
-    self_absorptive: bool
-    k_absorptive_max: Union[int, str]
-    countably_absorptive: bool
     natural_order_total: bool
     natural_order_antisymmetric: bool
     provenance: str  # "declared" | "computed"
 
-    def __post_init__(self) -> None:
-        if self.weakly_absorptive == self.weakly_cancellative:
-            raise ValueError("weak absorptivity must be the negation of weak cancellativity")
-        if self.self_absorptive and not self.countably_absorptive:
-            raise ValueError("self absorptive implies countably absorptive")
-        if self.countably_absorptive and not self.weakly_absorptive:
-            raise ValueError("countably absorptive implies weakly absorptive")
+    @property
+    def positive(self) -> bool:
+        return True
+
+    @property
+    def weakly_absorptive(self) -> bool:
+        return not self.weakly_cancellative
+
+    self_absorptive = countably_absorptive = weakly_absorptive
+
+    @property
+    def k_absorptive_max(self) -> Union[int, str]:
+        return 0 if self.weakly_cancellative else UNBOUNDED
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {key: getattr(self, key) for key in (
+            "positive", "weakly_cancellative", "weakly_absorptive", "self_absorptive",
+            "k_absorptive_max", "countably_absorptive", "natural_order_total",
+            "natural_order_antisymmetric", "provenance")}
 
 
-def _finite_report(absorptive: bool, total: bool, antisymmetric: bool,
-                   provenance: str) -> PropertyReport:
-    """The report of a finite positive monoid.  It is weakly absorptive iff
-    it has a nonzero idempotent, which it has iff it is nontrivial (see the
-    module docstring); the idempotent then gives chains of every length,
-    and the trivial monoid has no chain at all.  The declared reports of
-    the builtins take the same two shapes: boolean and max-naturals are
-    idempotent, the naturals and rationals cancellative."""
-    return PropertyReport(
-        positive=True,
-        weakly_cancellative=not absorptive,
-        weakly_absorptive=absorptive,
-        self_absorptive=absorptive,
-        k_absorptive_max=UNBOUNDED if absorptive else 0,
-        countably_absorptive=absorptive,
-        natural_order_total=total,
-        natural_order_antisymmetric=antisymmetric,
-        provenance=provenance,
-    )
-
-
-_IDEMPOTENT_REPORT = _finite_report(True, True, True, "declared")
-_CANCELLATIVE_REPORT = _finite_report(False, True, True, "declared")
+_IDEMPOTENT_REPORT = PropertyReport(False, True, True, "declared")
+_CANCELLATIVE_REPORT = PropertyReport(True, True, True, "declared")
 
 
 class MonoidSpec:
@@ -182,11 +170,6 @@ class MonoidSpec:
 
     def classify(self) -> PropertyReport:
         raise NotImplementedError
-
-    @property
-    def has_total_wc_order(self) -> bool:
-        report = self.classify()
-        return report.weakly_cancellative and report.natural_order_total
 
     def nonzero_idempotent(self) -> Optional[Element]:
         """Smallest nonzero b with b + b = b, or None."""
@@ -263,7 +246,10 @@ class _Naturals(MonoidSpec):
             raise ElementError(f"cannot parse {self.name} weight {text!r}") from None
 
     def format_element(self, value):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's limit on printed digits
+            raise KindbError(f"a {self.name} weight is too large to print") from None
 
 
 class BooleanMonoid(_Naturals):
@@ -359,7 +345,10 @@ class NonnegRationalsMonoid(MonoidSpec):
 
     def format_element(self, value):
         n, d = value.numerator, value.denominator
-        return str(n) if d == 1 else f"{n}/{d}"
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError:  # past the interpreter's limit on printed digits
+            raise KindbError("a rational weight is too large to print") from None
 
 
 class MaxNaturalsMonoid(_Naturals):
@@ -405,7 +394,7 @@ class MonogenicMonoid(_Naturals):
 
     def classify(self) -> PropertyReport:
         # the order is total; it is antisymmetric only if the cycle is a point
-        return _finite_report(True, True, self.period == 1, "computed")
+        return PropertyReport(False, True, self.period == 1, "computed")
 
     def nonzero_idempotent(self):
         # the cycle element that is a multiple of the period
@@ -508,7 +497,7 @@ class TableMonoid(MonoidSpec):
         total = all(b in reach[a] or a in reach[b] for a in els for b in els)
         antisymmetric = all(a == b or not (b in reach[a] and a in reach[b])
                             for a in els for b in els)
-        return _finite_report(self.nonzero_idempotent() is not None, total, antisymmetric,
+        return PropertyReport(self.nonzero_idempotent() is None, total, antisymmetric,
                               "computed")
 
     def parse_element(self, text):

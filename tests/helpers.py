@@ -37,7 +37,6 @@ from kindb.monoid import (
     NONNEG_RATIONALS,
     UNBOUNDED,
     MonoidSpec,
-    PropertyReport,
     monogenic,
 )
 
@@ -372,10 +371,11 @@ def reference_closure(sigma, system: RuleSystem, schema: Schema) -> dict:
 
 # -- reference classifier --------------------------------------------------------
 
-def reference_classify(m: MonoidSpec, k_bound: int = 8) -> PropertyReport:
-    """Classify a finite monoid from the definitions: a positivity scan over
-    every pair, the absorbing pairs, an absorption-chain frontier probed up
-    to ``k_bound`` steps, and the natural order by witness search."""
+def reference_classify(m: MonoidSpec, k_bound: int = 8) -> dict:
+    """Classify a finite monoid from the definitions, in the form of
+    ``PropertyReport.as_dict``: a positivity scan over every pair, the
+    absorbing pairs, an absorption-chain frontier probed up to ``k_bound``
+    steps, and the natural order by witness search."""
     carrier = list(m.elements())
     zero = m.zero
     nonzero = [x for x in carrier if x != zero]
@@ -409,14 +409,14 @@ def reference_classify(m: MonoidSpec, k_bound: int = 8) -> PropertyReport:
     antisym = all(not ((a, b) in leq and (b, a) in leq) or a == b
                   for a in carrier for b in carrier)
 
-    return PropertyReport(
-        positive=positive,
-        weakly_cancellative=not wa,
-        weakly_absorptive=wa,
-        self_absorptive=sa,
-        k_absorptive_max=k_max,
-        countably_absorptive=ca,
-        natural_order_total=total,
-        natural_order_antisymmetric=antisym,
-        provenance="computed",
-    )
+    return {
+        "positive": positive,
+        "weakly_cancellative": not wa,
+        "weakly_absorptive": wa,
+        "self_absorptive": sa,
+        "k_absorptive_max": k_max,
+        "countably_absorptive": ca,
+        "natural_order_total": total,
+        "natural_order_antisymmetric": antisym,
+        "provenance": "computed",
+    }

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ from helpers import (
     witness_pool,
 )
 import kindb.chase
+from kindb.cli import main
 from kindb.errors import MonoidMismatch, UnsupportedMonoid
 from kindb.chase import (
     ChaseConfig,
@@ -385,3 +387,18 @@ def test_classical_chase_matches_reference_passes(inputs):
     assert len(trace.steps) == len(expected.steps)
     assert replay(trace) == result
     assert all(satisfies(result, s) for s in sigma)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_plus_chase_weight_too_large_to_print_is_an_input_error(capsys, tmp_path, json_flag):
+    """Two rows of 4,300 nines sum to a weight past the interpreter's limit
+    on printed digits; printing it exits 2 instead of failing."""
+    nines = "9" * 4300
+    doc = {"monoid": "naturals", "schema": {"E": ["p", "q"], "B": ["p"]},
+           "relations": {"E": [{"tuple": {"p": "a", "q": q}, "weight": nines}
+                               for q in ("x", "y")], "B": []}}
+    (tmp_path / "db.json").write_text(json.dumps(doc))
+    (tmp_path / "inds.txt").write_text("E[p] <= B[p]\n")
+    argv = ["chase", str(tmp_path / "db.json"), str(tmp_path / "inds.txt"), "--plus"]
+    assert main(argv + json_flag) == 2
+    assert "too large to print" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import kindb.entail
 import kindb.infer
 from helpers import BUILTIN_MONOIDS, WEIGHT_POOLS, balance_instances, dependencies, schemas
+from kindb.cli import main
 from kindb.errors import (
     CountermodelError,
     InvalidChain,
@@ -247,6 +248,13 @@ def test_classification_override():
     member = parse_ind("R[A] <= S[B]")
     verdict = decide_entailment({member}, member, m)
     assert verdict.entailed and verdict.method == "classical_chase"
+
+
+def test_additive_chase_over_budget_exits_3(capsys, tmp_path):
+    (tmp_path / "sigma.txt").write_text("R[A] <= R[B]\n")
+    argv = ["entail", str(tmp_path / "sigma.txt"), "R[A,B] <= R[B,A]", "--step-limit", "1"]
+    assert main(argv) == 3
+    assert "exceeded its budget" in capsys.readouterr().err
 
 
 def test_trivial_monoid_rejected():

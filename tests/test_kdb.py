@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BUILTIN_MONOIDS, reference_marginal_at
+from kindb.cli import main
 from kindb.errors import (
     ParseError,
+    SchemaMismatch,
     StarConstantError,
     UnknownAttribute,
 )
@@ -128,6 +130,47 @@ def test_load_sums_repeated_rows_and_drops_zero_sums():
     assert db.relation("R").weights == {("x",): 5}
     assert db.relation("S").weights == {}
     assert db == make_database(db.schema, NATURALS, {"R": {("x",): 5}})
+
+
+def test_make_database_rejects_a_row_of_the_wrong_width():
+    schema = schema_of({"R": ["A", "B"]})
+    with pytest.raises(SchemaMismatch, match="does not fit relation R"):
+        make_database(schema, NATURALS, {"R": {("a",): 1}})
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INT = ('{"monoid": "naturals", "schema": {"R": ["A"]}, '
+            '"relations": {"R": [{"tuple": {"A": %s}, "weight": "1"}]}}' % ("1" * 5000))
+
+
+@pytest.mark.parametrize("command,text", [
+    ("check", DEEP),
+    ("chase", DEEP),
+    ("classify", DEEP),
+    ("oracle", DEEP),
+    ("entail", DEEP),
+    ("check", LONG_INT),
+    ("check", b"\xff\xfe{"),
+], ids=["check-deep", "chase-deep", "classify-deep", "oracle-deep", "entail-monoid-deep",
+        "check-long-integer", "check-not-utf8"])
+def test_json_inputs_that_break_the_decoder_are_input_errors(capsys, tmp_path, command, text):
+    """JSON nested too deep to decode, an integer literal too long to
+    convert and bytes that are not UTF-8 exit 2 like any malformed input."""
+    doc = tmp_path / "doc.json"
+    if isinstance(text, bytes):
+        doc.write_bytes(text)
+    else:
+        doc.write_text(text)
+    inds = tmp_path / "inds.txt"
+    inds.write_text("R[A] <= R[A]\n")
+    argv = {"check": ["check", str(doc), str(inds)],
+            "chase": ["chase", str(doc), str(inds)],
+            "classify": ["classify", str(doc)],
+            "oracle": ["oracle", str(doc)],
+            "entail": ["entail", str(inds), "R[A] <= R[A]", "--monoid", str(doc)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_load_rejects_star():
