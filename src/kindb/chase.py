@@ -26,7 +26,9 @@ marginal in sorted order.  Elsewhere the left side weighs zero, so no step
 applies there.  A step equalizes the marginals at its witness; a point it
 adds to a dependency's own left marginal is still visited in the same pass
 when it sorts after the witness.  The chase stops after a pass with no step.
-The result of a terminating chase depends on this order.
+The result of a terminating chase depends on this order.  Each marginal the
+dependencies read is computed once per chase and updated after each step,
+instead of being recomputed on every pass.
 """
 
 from __future__ import annotations
@@ -116,30 +118,41 @@ def _plus_passes(work: dict[str, KRelation], inds: list[IND], m: MonoidSpec,
                  step_limit: int, steps: list[ChaseStep]) -> str:
     """Apply additive steps to ``work`` in place, appending them to ``steps``;
     return the outcome."""
+    zero = m.zero
+    # each (relation, attributes) side's marginal, with its positions in the
+    # relation's rows, kept up to date by every step; kept[rel] lists those
+    # of one relation
+    marginals, kept = {}, {}
+    for rel, attrs in dict.fromkeys(side for s in inds for side in (
+            (s.lhs_rel, s.lhs_attrs), (s.rhs_rel, s.rhs_attrs))):
+        layout = work[rel].attributes
+        marginals[rel, attrs] = (tuple(map(layout.index, attrs)),
+                                 marginalize(work[rel], attrs, m).weights)
+        kept.setdefault(rel, []).append(marginals[rel, attrs])
     while True:
         before = len(steps)
         for s in inds:
-            lhs = marginalize(work[s.lhs_rel], s.lhs_attrs, m).weights
-            rhs = marginalize(work[s.rhs_rel], s.rhs_attrs, m).weights
+            lhs_pos, lhs = marginals[s.lhs_rel, s.lhs_attrs]
+            rhs = marginals[s.rhs_rel, s.rhs_attrs][1]
             target_rel = work[s.rhs_rel]
-            lhs_pos = [work[s.lhs_rel].attributes.index(a) for a in s.lhs_attrs]
             points = sorted(lhs)
             for witness in points:  # insort below only adds points after this one
-                have = rhs.get(witness, m.zero)
+                have = rhs.get(witness, zero)
                 if m.leq(lhs[witness], have):
                     continue
                 if len(steps) >= step_limit:
                     return OUTCOME_STEP_LIMIT
                 delta = m.monus(lhs[witness], have)
                 target = star_padded(target_rel.attributes, s.rhs_attrs, witness)
-                target_rel.weights[target] = m.add(target_rel.weights.get(target, m.zero), delta)
-                rhs[witness] = m.add(have, delta)
+                target_rel.weights[target] = m.add(target_rel.weights.get(target, zero), delta)
                 steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
                 if s.lhs_rel == s.rhs_rel:
-                    point = tuple(target[p] for p in lhs_pos)
-                    if point not in lhs and point > witness:
+                    point = tuple([target[p] for p in lhs_pos])
+                    if point > witness and point not in lhs:
                         bisect.insort(points, point)
-                    lhs[point] = m.add(lhs.get(point, m.zero), delta)
+                for positions, marginal in kept[s.rhs_rel]:
+                    point = tuple([target[p] for p in positions])
+                    marginal[point] = m.add(marginal.get(point, zero), delta)
         if len(steps) == before:
             return OUTCOME_TERMINATED
 

@@ -126,17 +126,21 @@ def cmd_chase(args) -> int:
         trace = plus_chase(start, sigma, ChaseConfig(step_limit=args.step_limit))
     else:
         _, trace = classical_chase(start, sigma)
+    # everything is formatted before anything is written, so a weight too
+    # large to print leaves neither a partial trace file nor partial output
+    doc = (json.dumps(trace_to_json(trace), indent=2, sort_keys=True)
+           if args.json or args.trace_out else None)
+    if args.json:
+        out = doc
+    else:
+        lines = [f"outcome: {trace.outcome} after {len(trace.steps)} steps"]
+        if trace.steps:
+            lines += [format_steps(trace), ""]
+        out = "\n".join(lines + [format_database(trace.result)])
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(trace_to_json(trace), fh, indent=2, sort_keys=True)
-    if args.json:
-        _print_json(trace_to_json(trace))
-    else:
-        print(f"outcome: {trace.outcome} after {len(trace.steps)} steps")
-        if trace.steps:
-            print(format_steps(trace))
-            print()
-        print(format_database(trace.result))
+            fh.write(doc)
+    print(out)
     return EXIT_YES if trace.outcome == OUTCOME_TERMINATED else EXIT_BUDGET
 
 
@@ -249,7 +253,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ChaseBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (KindbError, OSError, UnicodeDecodeError) as exc:
+    except (KindbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

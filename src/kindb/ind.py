@@ -132,5 +132,9 @@ def parse_ind_list(text: str, schema: Optional[Schema] = None) -> list[IND]:
 
 
 def load_ind_file(path: str, schema: Optional[Schema] = None) -> list[IND]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ind_list(fh.read(), schema)
+    """Read a dependency list file; its parse errors name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_ind_list(fh.read(), schema)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None

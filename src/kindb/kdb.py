@@ -7,6 +7,9 @@ and rejected in user input.
 
 Weights are validated where they enter: ``make_database`` checks each one,
 and ``load_database`` parses each one, naming the relation of a bad weight.
+Both drop zero weights there.  The monoid is positive (a + b = 0 forces
+a = b = 0), so no sum of the nonzero weights kept is zero: neither the
+loader's sums of repeated rows nor a marginal's group sums are tested again.
 A ``KDatabase`` built any other way must hold elements in normal form, since
 the monoid arithmetic (``marginalize``, ``is_balanced``, the chases) does not
 check them again.  Chase results, ``replay``, ``support`` and countermodels
@@ -38,6 +41,8 @@ from .monoid import BOOLEAN, Element, MonoidSpec, parse_monoid
 Row = tuple[str, ...]
 
 STAR = "*"
+
+_STR = frozenset({str})  # the cell types that need no conversion
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,8 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
     """Aggregate weights over all rows agreeing on ``attrs``.
 
     Each group of rows is summed by one ``m.add_all`` (for the rationals, one
-    normalization per group), and zero sums are dropped.  The result is keyed
+    normalization per group).  The weights are nonzero, so by positivity no
+    group sum is zero and none is tested.  The result is keyed
     in the order of the query sequence, not the storage order, so positional
     comparison between different relations works.
     """
@@ -169,9 +175,7 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
             groups[k] = [w]
         else:
             group.append(w)
-    zero = m.zero
-    out = {k: s for k, ws in groups.items() if (s := m.add_all(ws)) != zero}
-    return KRelation(attrs, out)
+    return KRelation(attrs, {k: m.add_all(ws) for k, ws in groups.items()})
 
 
 def support(db: KDatabase) -> KDatabase:
@@ -205,8 +209,12 @@ def parse_json(text: str):
 
 
 def read_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_json(fh.read())
+    """Decode a JSON file; its input errors name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_json(fh.read())
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
@@ -236,35 +244,42 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
     if not isinstance(relations, dict) or not all(
             isinstance(rows, list) for rows in relations.values()):
         raise ParseError('"relations" must map each relation to a list of rows')
-    weights: dict[str, dict[Row, Element]] = {}
+    parse, add, zero = monoid.parse_element, monoid.add, monoid.zero
+    weights: dict[str, dict[Row, Element]] = {rel: {} for rel in schema.relations}
     for rel, rows in relations.items():
         attrs = schema.attributes(rel)
-        attr_set = set(attrs)
-        rel_weights: dict[Row, Element] = {}
+        # one getter per relation, always giving a tuple
+        cells = (itemgetter(*attrs) if len(attrs) > 1
+                 else lambda mapping: tuple([mapping[a] for a in attrs]))
+        rel_weights = weights[rel]
         for entry in rows:
             mapping = entry.get("tuple") if isinstance(entry, dict) else None
             if not isinstance(mapping, dict) or "weight" not in entry:
                 raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
-            if mapping.keys() != attr_set:
+            # exactly the attributes: as many keys, and each one read
+            try:
+                row = cells(mapping) if len(mapping) == len(attrs) else None
+            except KeyError:
+                row = None
+            if row is None:
                 raise ParseError(
                     f"row for {rel} must assign exactly the attributes {list(attrs)}")
-            row = tuple([v if type(v) is str else _number_constant(rel, a, v)
-                         for a in attrs for v in (mapping[a],)])
+            if not _STR.issuperset(map(type, row)):
+                row = tuple([v if type(v) is str else _number_constant(rel, a, v)
+                             for a, v in zip(attrs, row)])
             if not allow_star and STAR in row:
                 raise StarConstantError(
                     f"the constant {STAR!r} is reserved and cannot appear in input data")
             try:
-                w = monoid.parse_element(str(entry["weight"]))
+                w = parse(str(entry["weight"]))
             except ElementError as exc:
                 raise ElementError(f"{rel}.weight: {exc}") from None
+            if w == zero:
+                continue  # positivity: a sum of nonzero weights is never zero
             prior = rel_weights.get(row)
-            rel_weights[row] = w if prior is None else monoid.add(prior, w)
-        weights[rel] = rel_weights
-    # every weight is already parsed and checked; only zero sums remain to drop
-    zero = monoid.zero
+            rel_weights[row] = w if prior is None else add(prior, w)
     return KDatabase(schema, monoid, {
-        rel: KRelation(attrs, {row: w for row, w in weights.get(rel, {}).items() if w != zero})
-        for rel, attrs in schema.relations.items()})
+        rel: KRelation(attrs, weights[rel]) for rel, attrs in schema.relations.items()})
 
 
 def load_database_file(path: str) -> KDatabase:

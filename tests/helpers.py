@@ -29,7 +29,8 @@ from kindb.infer import (
     project_permute,
     transitivity,
 )
-from kindb.kdb import STAR, KDatabase, Schema, make_database, schema_of
+from kindb.errors import ElementError, ParseError, StarConstantError
+from kindb.kdb import STAR, KDatabase, KRelation, Schema, make_database, parse_json, schema_of
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
@@ -38,6 +39,7 @@ from kindb.monoid import (
     UNBOUNDED,
     MonoidSpec,
     monogenic,
+    parse_monoid,
 )
 
 MONO23 = monogenic(2, 3)
@@ -268,6 +270,65 @@ def reference_plus_chase(db: KDatabase, sigma, step_limit: int = 10_000) -> Chas
         steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
         idle = 0
     return ChaseTrace(db.copy(), steps, outcome, make_database(db.schema, m, work))
+
+
+# -- reference loader -----------------------------------------------------------
+
+def reference_load_database(obj, allow_star: bool = False) -> KDatabase:
+    """The database loader as a plain loop: each cell read and checked by
+    name, each weight parsed and summed into its row, and zero sums dropped
+    once every row is read.  Same errors as :func:`kindb.kdb.load_database`."""
+    if isinstance(obj, str):
+        obj = parse_json(obj)
+    if not isinstance(obj, dict):
+        raise ParseError("database document must be a JSON object")
+    try:
+        monoid = parse_monoid(obj["monoid"])
+        raw_schema = obj["schema"]
+    except KeyError as exc:
+        raise ParseError(f"database document is missing {exc}") from None
+    if not isinstance(raw_schema, dict) or not all(
+            isinstance(attrs, list) and all(isinstance(a, str) for a in attrs)
+            for attrs in raw_schema.values()):
+        raise ParseError('"schema" must map each relation to a list of attribute names')
+    schema = schema_of(raw_schema)
+    relations = obj.get("relations", {})
+    if not isinstance(relations, dict) or not all(
+            isinstance(rows, list) for rows in relations.values()):
+        raise ParseError('"relations" must map each relation to a list of rows')
+    weights = {}
+    for rel, rows in relations.items():
+        attrs = schema.attributes(rel)
+        rel_weights = weights[rel] = {}
+        for entry in rows:
+            mapping = entry.get("tuple") if isinstance(entry, dict) else None
+            if not isinstance(mapping, dict) or "weight" not in entry:
+                raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
+            if mapping.keys() != set(attrs):
+                raise ParseError(
+                    f"row for {rel} must assign exactly the attributes {list(attrs)}")
+            row = []
+            for a in attrs:
+                v = mapping[a]
+                if type(v) is not str:
+                    if type(v) not in (int, float):
+                        raise ParseError(
+                            f"{rel}.{a} must be a string or a number, got {v!r}")
+                    v = str(v)
+                row.append(v)
+            row = tuple(row)
+            if not allow_star and STAR in row:
+                raise StarConstantError(
+                    f"the constant {STAR!r} is reserved and cannot appear in input data")
+            try:
+                w = monoid.parse_element(str(entry["weight"]))
+            except ElementError as exc:
+                raise ElementError(f"{rel}.weight: {exc}") from None
+            rel_weights[row] = monoid.add(rel_weights.get(row, monoid.zero), w)
+    return KDatabase(schema, monoid, {
+        rel: KRelation(attrs, {row: w for row, w in weights.get(rel, {}).items()
+                               if w != monoid.zero})
+        for rel, attrs in schema.relations.items()})
 
 
 # -- reference classical chase ------------------------------------------------

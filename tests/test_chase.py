@@ -33,7 +33,7 @@ from kindb.chase import (
     star_padded,
     trace_to_json,
 )
-from kindb.ind import IND, parse_ind, satisfies
+from kindb.ind import IND, ind_sort_key, parse_ind, satisfies
 from kindb.infer import DerivationGraph, RuleSystem, derives, saturate
 from kindb.kdb import (
     STAR,
@@ -402,3 +402,68 @@ def test_plus_chase_weight_too_large_to_print_is_an_input_error(capsys, tmp_path
     argv = ["chase", str(tmp_path / "db.json"), str(tmp_path / "inds.txt"), "--plus"]
     assert main(argv + json_flag) == 2
     assert "too large to print" in capsys.readouterr().err
+
+
+def _left_point_sides(db, trace):
+    """Whether the steps of ``trace`` add left points that sort before or
+    after their witness, among points new to the left marginal."""
+    state, sides = db.copy(), set()
+    for step in trace.steps:
+        s = step.sigma
+        lhs = marginalize(state.relation(s.lhs_rel), s.lhs_attrs, db.monoid).weights
+        if s.lhs_rel == s.rhs_rel:
+            layout = db.schema.attributes(s.lhs_rel)
+            point = tuple(step.incremented[layout.index(a)] for a in s.lhs_attrs)
+            if point not in lhs:
+                sides.add("after" if point > step.witness else "before")
+        weights = state.relation(s.rhs_rel).weights
+        weights[step.incremented] = weights.get(step.incremented, 0) + step.delta
+    return sides
+
+
+R2 = schema_of({"R": ("A", "B")})
+
+
+# "!" sorts before the star and letters after it, so the added point (*) or
+# (y, x) falls on either side of its witness
+@pytest.mark.parametrize("sigma,rows", [
+    (["R[A] <= R[B]", "R[B] <= R[A]"], {("a", "b"): 2, ("b", "!"): 1}),
+    (["R[A,B] <= R[B,A]"], {("!", "a"): 2, ("b", "a"): 3}),
+], ids=["A-B-and-back", "swap"])
+def test_plus_chase_self_loops_match_reference(sigma, rows):
+    db = make_database(R2, NATURALS, {"R": rows})
+    sigma = [parse_ind(t) for t in sigma]
+    trace = plus_chase(db, sigma)
+    expected = reference_plus_chase(db, sigma)
+    assert trace.steps == expected.steps
+    assert trace.outcome == expected.outcome == OUTCOME_TERMINATED
+    assert trace.result == expected.result
+    assert _left_point_sides(db, trace) == {"before", "after"}
+
+
+@pytest.mark.parametrize("sigma,step_limit", [
+    ([LOOP], 500),
+    ([LOOP, LOOP_BACK, parse_ind("R[A] <= S[D]"), parse_ind("S[D,E] <= R[C,A]"),
+      parse_ind("S[E] <= S[D]")], 10_000),
+], ids=["loop", "two-relations"])
+def test_plus_chase_computes_each_marginal_once(monkeypatch, sigma, step_limit):
+    """However many passes the chase makes, it marginalizes each (relation,
+    attributes) side of its dependencies once and keeps it up to date."""
+    schema = schema_of({"R": ("A", "B", "C"), "S": ("D", "E")})
+    calls = []
+
+    def counted(rel, attrs, m):
+        calls.append((rel, tuple(attrs)))
+        return marginalize(rel, attrs, m)
+
+    monkeypatch.setattr(kindb.chase, "marginalize", counted)
+    trace = plus_chase(canonical_start(LOOP, schema, NATURALS), sigma,
+                       ChaseConfig(step_limit=step_limit))
+    # a pass visits the dependencies in order and each one's witnesses in
+    # increasing order, so a step that does not come later starts a new pass
+    order = sorted(set(sigma), key=ind_sort_key)
+    visits = [(order.index(step.sigma), step.witness) for step in trace.steps]
+    assert 1 + sum(b <= a for a, b in zip(visits, visits[1:])) >= 3
+    names = {id(kr): rel for rel, kr in trace.result.relations.items()}
+    assert sorted((names[id(kr)], attrs) for kr, attrs in calls) == sorted(
+        {side for s in sigma for side in ((s.lhs_rel, s.lhs_attrs), (s.rhs_rel, s.rhs_attrs))})

@@ -190,6 +190,49 @@ def test_chase_plus_terminates_with_trace(capsys, workspace, tmp_path):
     assert doc["outcome"] == "terminated" and doc["steps"]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_chase_trace_out_writes_nothing_when_a_weight_cannot_print(capsys, tmp_path,
+                                                                   json_flag):
+    """Two rows of 4,300 nines sum to a weight past the interpreter's limit
+    on printed digits: the run exits 2 before it writes anything."""
+    nines = "9" * 4300
+    doc = {"monoid": "naturals", "schema": {"E": ["p", "q"], "B": ["p"]},
+           "relations": {"E": [{"tuple": {"p": "a", "q": q}, "weight": nines}
+                               for q in ("x", "y")], "B": []}}
+    (tmp_path / "db.json").write_text(json.dumps(doc))
+    (tmp_path / "inds.txt").write_text("E[p] <= B[p]\n")
+    trace_path = tmp_path / "t.json"
+    code, out, err = run(capsys, "chase", str(tmp_path / "db.json"),
+                         str(tmp_path / "inds.txt"), "--plus",
+                         "--trace-out", str(trace_path), *json_flag)
+    assert code == 2
+    assert "too large to print" in err
+    assert out == ""
+    assert not trace_path.exists()
+
+
+def test_entail_names_a_malformed_monoid_file(capsys, workspace, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, _, err = run(capsys, "entail", str(workspace / "ws.txt"),
+                       "Grant[proj] <= Budget[proj]", "--monoid", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {bad}: malformed JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("monoid", ["naturals", "table"])
+def test_entail_names_a_sigma_file_that_is_not_utf8(capsys, tmp_path, monoid):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_bytes(b"R[A] <= S[B]\n\xff\n")
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"elements": ["0", "1"], "zero": "0",
+                                 "op": {"0,0": "0", "0,1": "1", "1,1": "1"}}))
+    code, _, err = run(capsys, "entail", str(sigma), "R[A] <= S[B]",
+                       "--monoid", str(table) if monoid == "table" else monoid)
+    assert code == 2
+    assert err.startswith(f"error: {sigma}: 'utf-8' codec") and "Traceback" not in err
+
+
 def test_chase_classical(capsys, workspace):
     code, out, _ = run(capsys, "chase", "canonical:R[B,C] <= R[A,B]",
                        str(workspace / "loop.txt"))

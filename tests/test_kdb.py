@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BUILTIN_MONOIDS, reference_marginal_at
+from helpers import BUILTIN_MONOIDS, reference_load_database, reference_marginal_at
 from kindb.cli import main
 from kindb.errors import (
+    KindbError,
     ParseError,
     SchemaMismatch,
     StarConstantError,
@@ -14,6 +15,7 @@ from kindb.errors import (
 )
 from kindb.kdb import (
     STAR,
+    KDatabase,
     degree,
     dump_database,
     is_balanced,
@@ -244,3 +246,98 @@ def test_marginalize_matches_reference_marginal(data):
     assert marg.attributes == seq
     assert marg.weights == {point: w for point, w in reference.items() if w != m.zero}
     assert all(m.check(w) == w and type(w) is type(m.zero) for w in marg.weights.values())
+
+
+
+LOADER_SCHEMA = {"P": [], "Q": ["A"], "R": ["A", "B", "C"]}
+
+
+def _q_rows(monoid, *entries):
+    """A document whose relation Q holds ``entries`` between two good rows."""
+    return {"monoid": monoid, "schema": LOADER_SCHEMA,
+            "relations": {"Q": [{"tuple": {"A": "x"}, "weight": "1"}, *entries,
+                                {"tuple": {"A": "y"}, "weight": "1"}]}}
+
+
+# the documents of tests/test_cli.py::test_check_malformed_document_shape,
+# then further malformed entries
+MALFORMED_DOCUMENTS = [
+    {"monoid": "naturals", "schema": ["R"], "relations": {}},
+    {"monoid": "naturals", "schema": {"R": "AB"}, "relations": {}},
+    {"monoid": "naturals", "schema": {"R": ["A"]},
+     "relations": [{"tuple": {"A": "a"}, "weight": "1"}]},
+    {"monoid": {"elements": ["0", "1"], "zero": "0", "op": [["0,0", "0"]]},
+     "schema": {"R": ["A"]}, "relations": {}},
+    {"monoid": 5, "schema": {"R": ["A"]}, "relations": {}},
+    _q_rows("naturals", {"tuple": ["A"], "weight": "1"}),
+    _q_rows("naturals", {"tuple": {"A": ["a"]}, "weight": "1"}),
+    _q_rows("naturals", {"tuple": {"A": "a"}, "weight": "-1"}),
+    _q_rows("boolean", {"tuple": {"A": "a"}, "weight": "2"}),
+    _q_rows("naturals", {"tuple": {"A": "a"}, "weight": "many"}),
+    _q_rows("nonneg_rationals", {"tuple": {"A": "a"}, "weight": "1/0"}),
+    _q_rows("nonneg_rationals", {"tuple": {"A": "a"}, "weight": "-1/2"}),
+    _q_rows("naturals", "row"),
+    _q_rows("naturals", {"tuple": {"A": "a"}}),
+    _q_rows("naturals", {"tuple": {"B": "a"}, "weight": "1"}),
+    _q_rows("naturals", {"tuple": {"A": True}, "weight": "1"}),
+    _q_rows("naturals", {"tuple": {"A": None}, "weight": "1"}),
+    _q_rows("naturals", {"tuple": {"A": {}}, "weight": "1"}),
+    _q_rows("naturals", {"tuple": {"A": STAR}, "weight": "1"}),
+    _q_rows(TABLE_0AB.as_dict(), {"tuple": {"A": "a"}, "weight": "c"}),
+    {"monoid": "naturals", "schema": LOADER_SCHEMA, "relations": {"S": []}},
+    *({"monoid": "naturals", "schema": LOADER_SCHEMA,
+       "relations": {rel: [{"tuple": mapping, "weight": "1"}]}} for rel, mapping in [
+        ("P", {"A": "x"}),
+        ("R", {"A": "x", "B": "y"}),
+        ("R", {"A": "x", "B": "y", "D": "z"}),
+        ("R", {"A": "x", "B": "y", "C": "z", "D": "w"}),
+        ("R", {"A": "x", "B": 1, "C": [2]})]),
+]
+
+
+def _outcome(load, doc, allow_star=False):
+    """The database loaded, or the type and message of the error raised."""
+    try:
+        return load(doc, allow_star=allow_star)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS)
+def test_load_database_fails_like_the_reference_loader(doc):
+    outcome = _outcome(load_database, doc)
+    assert isinstance(outcome, tuple) and issubclass(outcome[0], KindbError)
+    assert outcome == _outcome(reference_load_database, doc)
+
+
+def _weight_texts(m):
+    """Spellings of m's elements, zero among them, as a document holds them."""
+    if m is TABLE_0AB:
+        return st.sampled_from(["0", "a", "b"])
+    if m.name == "nonneg_rationals":
+        return st.sampled_from(["0", "0/5", "3/4", "6/8", "2", 1, "0.5"])
+    return st.one_of(st.sampled_from(["0", "00"]),
+                     st.integers(0, 8 if m.size is None else m.size - 1).map(str),
+                     st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_database_matches_reference_loader(data):
+    """Relations of arity 0, 1 and 3 over every builtin carrier and a table
+    monoid, with JSON-number cells, zero weights and repeated rows."""
+    m = data.draw(st.sampled_from(BUILTIN_MONOIDS + [TABLE_0AB]))
+    cells = st.one_of(st.sampled_from(["x", "y", STAR]), st.integers(0, 2),
+                      st.sampled_from([1.5, 2.0]))
+    relations = {}
+    for rel, attrs in LOADER_SCHEMA.items():
+        if data.draw(st.booleans()):
+            rows = st.fixed_dictionaries({"tuple": st.fixed_dictionaries(
+                {a: cells for a in attrs}), "weight": _weight_texts(m)})
+            relations[rel] = data.draw(st.lists(rows, max_size=8))
+    doc = {"monoid": m.as_dict(), "schema": LOADER_SCHEMA, "relations": relations}
+    allow_star = data.draw(st.booleans())
+    outcome = _outcome(load_database, doc, allow_star)
+    assert outcome == _outcome(reference_load_database, doc, allow_star)
+    if isinstance(outcome, KDatabase):
+        assert all(w != m.zero for kr in outcome.relations.values() for w in kr.weights.values())
