@@ -40,8 +40,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _json_text(payload: dict) -> str:
+    """Every JSON document kindb prints or writes: one line, keys sorted.
+    Without indentation ``json.dumps`` runs on the C encoder."""
+    return json.dumps(payload, sort_keys=True)
 
 
 def _load_monoid_arg(spec: str):
@@ -86,7 +88,7 @@ def cmd_check(args) -> int:
     sigmas = load_ind_file(args.inds, db.schema)
     results = {format_ind(s): satisfies(db, s) for s in sigmas}
     if args.json:
-        _print_json({"results": results})
+        print(_json_text({"results": results}))
     else:
         for text, ok in results.items():
             print(f"{'OK      ' if ok else 'VIOLATED'} {text}")
@@ -103,12 +105,12 @@ def cmd_entail(args) -> int:
         payload = {"derivable": ok, "system": args.system}
         if proof is not None:
             payload["proof"] = proof_to_json(proof)
-        _print_json(payload)
+        print(_json_text(payload))
         return EXIT_YES if ok else EXIT_NO
     m = _load_monoid_arg(args.monoid)
     verdict = decide_entailment(sigma, tau, m, balanced=args.balanced,
                                 config=ChaseConfig(step_limit=args.step_limit))
-    _print_json(verdict.to_json())
+    print(_json_text(verdict.to_json()))
     if not args.json and verdict.proof is not None:
         print(proof_to_text(verdict.proof), file=sys.stderr)
     return EXIT_YES if verdict.entailed else EXIT_NO
@@ -128,8 +130,7 @@ def cmd_chase(args) -> int:
         _, trace = classical_chase(start, sigma)
     # everything is formatted before anything is written, so a weight too
     # large to print leaves neither a partial trace file nor partial output
-    doc = (json.dumps(trace_to_json(trace), indent=2, sort_keys=True)
-           if args.json or args.trace_out else None)
+    doc = _json_text(trace_to_json(trace)) if args.json or args.trace_out else None
     if args.json:
         out = doc
     else:
@@ -147,7 +148,7 @@ def cmd_chase(args) -> int:
 def cmd_classify(args) -> int:
     m = _load_monoid_arg(args.monoid)
     report = m.classify()
-    _print_json({"monoid": m.name, **report.as_dict()})
+    print(_json_text({"monoid": m.name, **report.as_dict()}))
     return EXIT_YES
 
 
@@ -194,9 +195,9 @@ def cmd_oracle(args) -> int:
                    max_tuples=config["max_tuples"],
                    max_candidates=config.get("max_candidates", 2_000_000))
     if found is None:
-        _print_json({"counterexample": None})
+        print(_json_text({"counterexample": None}))
         return EXIT_YES
-    _print_json({"counterexample": found.to_json()})
+    print(_json_text({"counterexample": found.to_json()}))
     return EXIT_NO
 
 

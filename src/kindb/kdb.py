@@ -15,6 +15,15 @@ the monoid arithmetic (``marginalize``, ``is_balanced``, the chases) does not
 check them again.  Chase results, ``replay``, ``support`` and countermodels
 are built that way, from elements the arithmetic made.
 
+``load_database`` reads a relation a column at a time.  The entries' shape,
+the attribute set, the cell types, the star constant and the weights are each
+checked over a whole column, in that order, and the carrier's
+``parse_elements`` parses the weight column.  A relation whose weights hold
+no zero and whose rows do not repeat is stored by one ``dict(zip(...))``.
+So a relation with bad entries of several kinds reports the first kind in
+that order, not the entry in the earliest row, and of several bad cells the
+first in the first column that holds one.
+
 A marginal groups the rows by their values on the queried attributes and
 sums each group with one ``add_all`` of its carrier; over the rationals that
 sum is taken over the group's least common denominator and normalized once.
@@ -30,6 +39,7 @@ from typing import Iterable, Mapping, Union
 from .errors import (
     DuplicateAttribute,
     ElementError,
+    KindbError,
     ParseError,
     SchemaMismatch,
     StarConstantError,
@@ -43,6 +53,8 @@ Row = tuple[str, ...]
 STAR = "*"
 
 _STR = frozenset({str})  # the cell types that need no conversion
+_DICT = frozenset({dict})  # the entry and mapping types a JSON decoder makes
+_TUPLE, _WEIGHT = itemgetter("tuple"), itemgetter("weight")
 
 
 @dataclass(frozen=True)
@@ -244,46 +256,67 @@ def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
     if not isinstance(relations, dict) or not all(
             isinstance(rows, list) for rows in relations.values()):
         raise ParseError('"relations" must map each relation to a list of rows')
-    parse, add, zero = monoid.parse_element, monoid.add, monoid.zero
-    weights: dict[str, dict[Row, Element]] = {rel: {} for rel in schema.relations}
-    for rel, rows in relations.items():
-        attrs = schema.attributes(rel)
-        # one getter per relation, always giving a tuple
-        cells = (itemgetter(*attrs) if len(attrs) > 1
-                 else lambda mapping: tuple([mapping[a] for a in attrs]))
-        rel_weights = weights[rel]
+    weights = {rel: _load_relation(rel, schema.attributes(rel), rows, monoid, allow_star)
+               for rel, rows in relations.items()}
+    return KDatabase(schema, monoid, {rel: KRelation(attrs, weights.get(rel, {}))
+                                      for rel, attrs in schema.relations.items()})
+
+
+def _load_relation(rel: str, attrs: tuple[str, ...], rows: list, monoid: MonoidSpec,
+                   allow_star: bool) -> dict[Row, Element]:
+    """One relation's rows, each check made once over a whole column."""
+    try:
+        mappings = list(map(_TUPLE, rows))
+        texts = list(map(str, map(_WEIGHT, rows)))
+        shaped = _DICT.issuperset(map(type, rows)) and _DICT.issuperset(map(type, mappings))
+    except (KeyError, TypeError):  # an entry that is not a mapping, or lacks a key
+        shaped = False
+    if not shaped:  # name the first malformed entry; dict subclasses pass
         for entry in rows:
             mapping = entry.get("tuple") if isinstance(entry, dict) else None
             if not isinstance(mapping, dict) or "weight" not in entry:
                 raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
-            # exactly the attributes: as many keys, and each one read
-            try:
-                row = cells(mapping) if len(mapping) == len(attrs) else None
-            except KeyError:
-                row = None
-            if row is None:
-                raise ParseError(
-                    f"row for {rel} must assign exactly the attributes {list(attrs)}")
-            if not _STR.issuperset(map(type, row)):
-                row = tuple([v if type(v) is str else _number_constant(rel, a, v)
-                             for a, v in zip(attrs, row)])
-            if not allow_star and STAR in row:
-                raise StarConstantError(
-                    f"the constant {STAR!r} is reserved and cannot appear in input data")
-            try:
-                w = parse(str(entry["weight"]))
-            except ElementError as exc:
-                raise ElementError(f"{rel}.weight: {exc}") from None
-            if w == zero:
-                continue  # positivity: a sum of nonzero weights is never zero
-            prior = rel_weights.get(row)
-            rel_weights[row] = w if prior is None else add(prior, w)
-    return KDatabase(schema, monoid, {
-        rel: KRelation(attrs, weights[rel]) for rel, attrs in schema.relations.items()})
+        mappings = [entry["tuple"] for entry in rows]
+        texts = [str(entry["weight"]) for entry in rows]
+    # exactly the attributes: as many keys, and each one read
+    try:
+        columns = [list(map(itemgetter(a), mappings)) for a in attrs]
+        exact = {len(attrs)}.issuperset(map(len, mappings))
+    except KeyError:
+        exact = False
+    if not exact:
+        raise ParseError(f"row for {rel} must assign exactly the attributes {list(attrs)}")
+    if not all(_STR.issuperset(map(type, column)) for column in columns):
+        columns = [[v if type(v) is str else _number_constant(rel, a, v) for v in column]
+                   for a, column in zip(attrs, columns)]
+    if not allow_star and any(STAR in column for column in columns):
+        raise StarConstantError(
+            f"the constant {STAR!r} is reserved and cannot appear in input data")
+    try:
+        ws = monoid.parse_elements(texts)
+    except ElementError as exc:
+        raise ElementError(f"{rel}.weight: {exc}") from None
+    keys = list(zip(*columns)) if columns else [()] * len(ws)
+    out = dict(zip(keys, ws))
+    zero = monoid.zero
+    # an element is an int, a Fraction or a str, and each type has one falsy
+    # value: a falsy zero is found by a truth test, a named one by comparison
+    if len(out) < len(keys) or (zero in ws if zero else not all(ws)):
+        out = {}
+        for row, w in zip(keys, ws):
+            if w != zero:  # positivity: a sum of nonzero weights is never zero
+                prior = out.get(row)
+                out[row] = w if prior is None else monoid.add(prior, w)
+    return out
 
 
 def load_database_file(path: str) -> KDatabase:
-    return load_database(read_json_file(path))
+    """Load a database file; its input errors name the file."""
+    obj = read_json_file(path)
+    try:
+        return load_database(obj)
+    except KindbError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def dump_database(db: KDatabase) -> dict:

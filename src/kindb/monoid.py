@@ -185,6 +185,11 @@ class MonoidSpec:
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
 
+    def parse_elements(self, texts: list[str]) -> list[Element]:
+        """``parse_element`` over a column of texts: the same elements, or
+        the error of the first text that is not one."""
+        return list(map(self.parse_element, texts))
+
     def format_element(self, value: Element) -> str:
         raise NotImplementedError
 
@@ -244,6 +249,15 @@ class _Naturals(MonoidSpec):
             return self.check(int(text))
         except ValueError:
             raise ElementError(f"cannot parse {self.name} weight {text!r}") from None
+
+    def parse_elements(self, texts):
+        try:
+            values = list(map(int, texts))
+        except ValueError:
+            values = None
+        if values and min(values) >= 0 and (self.size is None or max(values) < self.size):
+            return values
+        return super().parse_elements(texts)  # empty, or the first bad text's error
 
     def format_element(self, value):
         try:
@@ -333,15 +347,22 @@ class NonnegRationalsMonoid(MonoidSpec):
         return _CANCELLATIVE_REPORT
 
     def parse_element(self, text):
-        num, slash, den = text.partition("/")
-        try:
-            # plain digits make a nonnegative fraction; any other spelling
-            # (sign, space, decimal point, exponent, underscore) is checked
-            if num.isdecimal() and (den.isdecimal() or not slash):
-                return Fraction(int(num), int(den) if slash else 1)
-            return self.check(Fraction(text))
-        except (ValueError, ZeroDivisionError):
-            raise ElementError(f"cannot parse rational weight {text!r}") from None
+        return self.parse_elements([text])[0]
+
+    def parse_elements(self, texts):
+        out = []
+        for text in texts:
+            num, slash, den = text.partition("/")
+            try:
+                # plain digits make a nonnegative fraction; any other spelling
+                # (sign, space, decimal point, exponent, underscore) is checked
+                if num.isdecimal() and (den.isdecimal() or not slash):
+                    out.append(Fraction(int(num), int(den)) if slash else Fraction(int(num)))
+                else:
+                    out.append(self.check(Fraction(text)))
+            except (ValueError, ZeroDivisionError):
+                raise ElementError(f"cannot parse rational weight {text!r}") from None
+        return out
 
     def format_element(self, value):
         n, d = value.numerator, value.denominator

@@ -3,9 +3,14 @@ import pathlib
 
 import pytest
 
+from kindb.chase import ChaseConfig, plus_chase, trace_to_json
 from kindb.cli import main
-from kindb.ind import parse_ind, satisfies
-from kindb.kdb import load_database
+from kindb.entail import decide_entailment
+from kindb.ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
+from kindb.infer import RuleSystem, derives, proof_to_json
+from kindb.kdb import load_database, load_database_file
+from kindb.monoid import BOOLEAN, parse_monoid
+from kindb.oracle import brute_force_entails
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -86,6 +91,23 @@ def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
     code, _, err = run(capsys, "check", str(db), str(inds))
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"tuple": {"A": "a"}, "weight": "x"}, "R.weight: cannot parse naturals weight 'x'"),
+    ({"tuple": {"A": "*"}, "weight": "1"}, "the constant '*' is reserved"),
+    ({"tuple": {"B": "a"}, "weight": "1"}, "row for R must assign exactly the attributes"),
+    ({"tuple": {"A": "a"}}, "malformed row entry in relation R"),
+], ids=["weight", "star", "attributes", "entry"])
+def test_check_names_the_database_file_in_loader_errors(capsys, tmp_path, entry, message):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps({"monoid": "naturals", "schema": {"R": ["A"]},
+                              "relations": {"R": [entry]}}))
+    inds = tmp_path / "inds.txt"
+    inds.write_text("R[A] <= R[A]\n")
+    code, out, err = run(capsys, "check", str(db), str(inds))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {db}: {message}") and "Traceback" not in err
 
 
 def _rational_db(three_quarters, one) -> dict:
@@ -336,3 +358,70 @@ def test_outputs_are_deterministic(capsys, workspace):
                         "Grant[proj] <= Budget[proj]", "--monoid", "boolean", "--json")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def _sorted_keys(pairs):
+    assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+    return dict(pairs)
+
+
+ORACLE_FOUND = {"monoid": "boolean", "sigma": ["R[A] <= S[B]", "S[] <= R[]"],
+                "tau": "S[B] <= R[A]", "adom": ["x", "y"], "weight_pool": ["0", "1"],
+                "max_tuples": 4}
+
+
+def _api_document(command, workspace):
+    """The document each JSON-printing command builds, made through the API."""
+    ws = workspace / "ws.txt"
+    tau = parse_ind("Grant[proj] <= Budget[proj]")
+    if command == "check":
+        db = load_database_file(str(DATA / "budgets.json"))
+        sigma = load_ind_file(str(workspace / "running.txt"), db.schema)
+        return {"results": {format_ind(s): satisfies(db, s) for s in sigma}}
+    if command == "entail":
+        return decide_entailment(set(load_ind_file(str(ws))), tau, BOOLEAN).to_json()
+    if command == "entail-system":
+        sigma = set(load_ind_file(str(ws)))
+        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
+        ok, proof = derives(sigma, tau, RuleSystem("ws"), schema)
+        return {"derivable": ok, "system": "ws", "proof": proof_to_json(proof)}
+    if command == "chase":
+        db = load_database_file(str(workspace / "repair.json"))
+        sigma = load_ind_file(str(workspace / "repair.txt"), db.schema)
+        return trace_to_json(plus_chase(db, sigma, ChaseConfig()))
+    if command == "classify":
+        return {"monoid": "monogenic:2,3", **parse_monoid("monogenic:2,3").classify().as_dict()}
+    found = brute_force_entails({parse_ind(s) for s in ORACLE_FOUND["sigma"]},
+                                parse_ind(ORACLE_FOUND["tau"]), BOOLEAN, adom=["x", "y"],
+                                weight_pool=[0, 1], max_tuples=4)
+    return {"counterexample": found.to_json()}
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("check", ["check", "@budgets.json", "running.txt", "--json"]),
+    ("entail", ["entail", "ws.txt", "Grant[proj] <= Budget[proj]", "--monoid", "boolean",
+                "--json"]),
+    ("entail-system", ["entail", "ws.txt", "Grant[proj] <= Budget[proj]", "--system", "ws"]),
+    ("chase", ["chase", "repair.json", "repair.txt", "--plus", "--json"]),
+    ("classify", ["classify", "monogenic:2,3"]),
+    ("oracle", ["oracle", "oracle.json"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_json_output_is_one_line_with_sorted_keys(capsys, workspace, command, argv):
+    """Each JSON document printed is one line, sorted by key, and the one
+    the API builds; a chase's --trace-out file holds that same line."""
+    (workspace / "oracle.json").write_text(json.dumps(ORACLE_FOUND))
+    (workspace / "repair.json").write_text(json.dumps(
+        {"monoid": "nonneg_rationals", "schema": {"E": ["p", "q"], "B": ["p"]},
+         "relations": {"E": [{"tuple": {"p": p, "q": q}, "weight": "3/2"}
+                             for p in "ab" for q in "xy"],
+                       "B": [{"tuple": {"p": "a"}, "weight": "1"}]}}))
+    (workspace / "repair.txt").write_text("E[p] <= B[p]\n")
+    argv = [str(DATA / a[1:]) if a.startswith("@") else
+            str(workspace / a) if a.endswith((".txt", ".json")) else a for a in argv]
+    _, out, _ = run(capsys, *argv)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out, object_pairs_hook=_sorted_keys) == _api_document(command, workspace)
+    if command == "chase":
+        trace = workspace / "trace.json"
+        _, again, _ = run(capsys, *argv, "--trace-out", str(trace))
+        assert again == out and trace.read_text() == out.rstrip("\n")

@@ -341,3 +341,49 @@ def test_load_database_matches_reference_loader(data):
     assert outcome == _outcome(reference_load_database, doc, allow_star)
     if isinstance(outcome, KDatabase):
         assert all(w != m.zero for kr in outcome.relations.values() for w in kr.weights.values())
+
+
+SIZE = 2_000
+CARRIERS = BUILTIN_MONOIDS + [TABLE_0AB]
+
+
+def _rows_at_size(m, attrs):
+    """SIZE distinct rows over ``attrs``, each weighing a nonzero element."""
+    weight = m.format_element(m.some_nonzero())
+    return [{"tuple": {a: f"{a}{i}" for a in attrs}, "weight": weight} for i in range(SIZE)]
+
+
+@pytest.mark.parametrize("m", CARRIERS, ids=lambda m: m.name)
+def test_load_database_at_size_sums_repeats_and_drops_zeros_like_the_reference(m):
+    """A 2,000-row relation with a repeated row at the end, then with a zero
+    weight in the middle."""
+    rows = _rows_at_size(m, LOADER_SCHEMA["R"])
+    repeated = rows + [rows[0]]
+    zeroed = [*rows[:SIZE // 2], {**rows[SIZE // 2], "weight": "0"}, *rows[SIZE // 2 + 1:]]
+    for entries in (repeated, zeroed):
+        doc = {"monoid": m.as_dict(), "schema": LOADER_SCHEMA, "relations": {"R": entries}}
+        outcome = _outcome(load_database, doc)
+        assert isinstance(outcome, KDatabase)
+        assert outcome == _outcome(reference_load_database, doc)
+    assert len(outcome.relation("R").weights) == SIZE - 1
+
+
+# each malformed entry of MALFORMED_DOCUMENTS, with the relation it is in
+MALFORMED_ENTRIES = [(rel, rows[len(rows) // 2]) for doc in MALFORMED_DOCUMENTS
+                     if isinstance(doc["relations"], dict)
+                     for rel, rows in doc["relations"].items() if rows]
+
+
+@pytest.mark.parametrize("m", CARRIERS, ids=lambda m: m.name)
+def test_load_database_at_size_fails_like_the_reference_loader(m):
+    """One bad entry at row 1,500 of a 2,000-row relation, of each kind."""
+    assert len(MALFORMED_ENTRIES) == 20
+    loaded = 0
+    for rel, entry in MALFORMED_ENTRIES:
+        rows = _rows_at_size(m, LOADER_SCHEMA[rel])
+        rows.insert(1_500, entry)
+        doc = {"monoid": m.as_dict(), "schema": LOADER_SCHEMA, "relations": {rel: rows}}
+        outcome = _outcome(load_database, doc)
+        assert outcome == _outcome(reference_load_database, doc), entry
+        loaded += isinstance(outcome, KDatabase)
+    assert loaded == (m.name not in ("boolean", "table"))  # the weight "2" is an element

@@ -131,6 +131,30 @@ TABLE_0A = table_from_dict({"elements": ["0", "a"], "zero": "0",
                             "op": {"0,0": "0", "0,a": "a", "a,a": "a"}})
 
 
+# elements of some carrier, zeros, and spellings int() and Fraction() read
+# differently from the digit paths
+COLUMN_TEXTS = ["0", "00", "0/5", " 3", "1_0", "-1", "+1", "2", "1/0", "6/8", "0.5", "x",
+                "٣", "²", "1", "3/4", "a", "1" * 5000]
+
+
+def _parsed_or_error(parse):
+    try:
+        return [(type(w), w) for w in parse()]
+    except KindbError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL_BUILTINS + [TABLE_0A]), st.data())
+def test_parse_elements_is_parse_element_over_a_column(m, data):
+    """The same elements of the same types, or the error of the first text
+    that is not an element."""
+    pool = data.draw(st.lists(st.sampled_from(COLUMN_TEXTS), min_size=1, unique=True))
+    texts = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    assert (_parsed_or_error(lambda: m.parse_elements(texts))
+            == _parsed_or_error(lambda: [m.parse_element(t) for t in texts]))
+
+
 @pytest.mark.parametrize("m,value,text", [
     (NATURALS, -1, "-1"),
     (BOOLEAN, 2, "2"),
