@@ -3,13 +3,19 @@
     python3 scripts/bench_trajectory.py --out BENCH_23.json --seeds 1 2 3
     python3 scripts/bench_trajectory.py --out BENCH_23.json --seeds 1 2 3 \\
         --baseline ../parent-checkout
+    python3 scripts/bench_trajectory.py --out BENCH_23.json --seeds 4 5 6 \\
+        --baseline ../parent-checkout --workloads check-repair
 
-Each workload named in BENCHMARK.json runs once per seed through
-``perfbench/run.py --seconds 30`` (untraced), one run at a time, from the
-root of this checkout.  The file holds the commit measured (empty when the
-tracked files differ from HEAD, so that no commit names these numbers), the
-commit the checkout stands on (``on``) and, per workload and metric, the
-median, the quartiles and every run's value in seed order.
+Each workload named by ``--workloads`` (default: every workload in
+BENCHMARK.json) runs once per seed through ``perfbench/run.py --seconds 30``
+(untraced), one run at a time, from the root of this checkout.  The file
+holds the commit measured (empty when the tracked files differ from HEAD, so
+that no commit names these numbers), the commit the checkout stands on
+(``on``) and, per workload, its seeds and, per metric, the median, the
+quartiles and every run's value in seed order.  When the file already holds
+runs of the same commits, interpreter and run length, the workloads not run
+this time are kept, so one file can hold more seeds for some workloads than
+for others.
 
 With ``--baseline DIR`` every (workload, seed) also runs in the checkout at
 DIR, the two sides alternating which goes first, and the file holds that
@@ -80,16 +86,27 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--baseline", type=Path,
                         help="a checkout to run alternately, seed by seed")
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="the workloads to run (default: every one in BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    names = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workloads or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json has {names}")
     measured, base = commit(ROOT)
     doc = {"commit": measured, "on": base, "python": platform.python_version(),
-           "seconds": SECONDS, "seeds": args.seeds, "workloads": {}}
+           "seconds": SECONDS, "workloads": {}}
     if args.baseline:
         doc["baseline_commit"] = commit(args.baseline)[0]
-    for workload in (w["name"] for w in spec["workloads"]):
+    out = Path(args.out)
+    if out.exists():
+        prior = json.loads(out.read_text(encoding="utf-8"))
+        if all(prior.get(key) == value for key, value in doc.items() if key != "workloads"):
+            doc["workloads"] = prior.get("workloads", {})
+    for workload in args.workloads or names:
         runs, base_runs = [], []
         for k, seed in enumerate(args.seeds):
             sides = [(ROOT, runs)] + ([(args.baseline, base_runs)] if args.baseline else [])
@@ -97,7 +114,7 @@ def main(argv=None) -> int:
                 into.append(run_once(checkout, workload, seed))
                 print(f"# {workload} seed={seed} {checkout}: "
                       f"ops_per_s={into[-1]['ops_per_s']:.1f}", file=sys.stderr)
-        entry = {"metrics": summary(runs)}
+        entry = {"seeds": args.seeds, "metrics": summary(runs)}
         if args.baseline:
             entry["baseline"] = summary(base_runs)
             entry["won"] = {name: sum((a < b) if better[name] == "lower" else (a > b)
@@ -105,7 +122,7 @@ def main(argv=None) -> int:
                                                       entry["baseline"][name]["values"]))
                             for name in entry["metrics"]}
         doc["workloads"][workload] = entry
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -28,7 +28,7 @@ from .chase import (
 )
 from .entail import decide_entailment
 from .errors import ChaseBudgetExceeded, ElementError, KindbError, ParseError
-from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
+from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies_all
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
 from .kdb import KDatabase, load_database_file, read_json_file
 from .monoid import BOOLEAN, NATURALS, parse_monoid, table_from_dict
@@ -86,7 +86,7 @@ def format_steps(trace, limit: int = 40) -> str:
 def cmd_check(args) -> int:
     db = load_database_file(args.database)
     sigmas = load_ind_file(args.inds, db.schema)
-    results = {format_ind(s): satisfies(db, s) for s in sigmas}
+    results = dict(zip(map(format_ind, sigmas), satisfies_all(db, sigmas)))
     if args.json:
         print(_json_text({"results": results}))
     else:

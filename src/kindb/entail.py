@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedMonoid,
 )
 from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
-from .ind import IND, format_ind, ind_sort_key, infer_schema, satisfies
+from .ind import IND, format_ind, ind_sort_key, infer_schema, satisfies, satisfies_all
 from .infer import DerivationGraph, DerivationProof, RuleSystem, proof_to_json
 from .kdb import KDatabase, KRelation, Schema, degree, dump_database, is_balanced
 from .monoid import (
@@ -103,9 +103,8 @@ def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IN
               tau: IND, balanced: bool) -> Countermodel:
     """The countermodel, once ``sigma`` holds in ``db``, ``tau`` fails there
     and, when ``balanced``, ``db`` is balanced."""
-    if not (all(satisfies(db, s) for s in sigma)
-            and not satisfies(db, tau)
-            and (not balanced or is_balanced(db))):
+    *held, tau_held = satisfies_all(db, [*sigma, tau])
+    if not (all(held) and not tau_held and (not balanced or is_balanced(db))):
         raise CountermodelError(
             f"{construction} countermodel failed verification for {format_ind(tau)}")
     return Countermodel(db, construction, params)

@@ -4,6 +4,12 @@ An inclusion dependency ``R[A1,..,An] <= S[B1,..,Bn]`` holds in an annotated
 database when, for every point, the marginal weight of R over A1..An is below
 the marginal weight of S over B1..Bn in the monoid's natural order.  Arity 0
 (``R[] <= S[]``) compares total weights.
+
+``satisfies_all`` checks a list of dependencies on one database from one
+``kdb.marginals`` plan: each distinct side is made once, widest first, a
+narrower side of a relation is rolled up from a wider marginal that covers
+it (the monoid is commutative and associative), and a side in its relation's
+own layout is read in place.  ``satisfies`` is that test for one dependency.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .errors import (
     DuplicateAttribute,
     ParseError,
 )
-from .kdb import KDatabase, Schema, marginalize, schema_of
+from .kdb import KDatabase, Schema, marginals, schema_of
 
 _IND_RE = re.compile(
     r"^\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*<=\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*$")
@@ -95,17 +101,31 @@ def inverse(sigma: IND) -> IND:
 
 
 def satisfies(db: KDatabase, sigma: IND) -> bool:
-    """Pointwise comparison of the two marginals under the natural order.
+    """Whether ``sigma`` holds in ``db``: ``satisfies_all`` of one dependency."""
+    return satisfies_all(db, [sigma])[0]
 
-    Quantification runs over the left marginal's support; elsewhere the left
-    side weighs zero, which is below every element.
+
+def satisfies_all(db: KDatabase, sigmas: Iterable[IND]) -> list[bool]:
+    """Whether each dependency holds in ``db``, in input order.
+
+    Every dependency is validated before any marginal is made.  Each test
+    compares the two marginals pointwise under the natural order, over the
+    left marginal's support; elsewhere the left side weighs zero, which is
+    below every element.
     """
-    validate_ind(sigma, db.schema)
+    sigmas = list(sigmas)
+    for sigma in sigmas:
+        validate_ind(sigma, db.schema)
+    weights = marginals(db, [side for s in sigmas for side in ((s.lhs_rel, s.lhs_attrs),
+                                                               (s.rhs_rel, s.rhs_attrs))])
     m = db.monoid
-    lhs = marginalize(db.relation(sigma.lhs_rel), sigma.lhs_attrs, m).weights
-    rhs = marginalize(db.relation(sigma.rhs_rel), sigma.rhs_attrs, m).weights
-    zero = m.zero
-    return all(m.leq(w, rhs.get(point, zero)) for point, w in lhs.items())
+    leq, zero = m.leq, m.zero
+    out = []
+    for s in sigmas:
+        get = weights[s.rhs_rel, s.rhs_attrs].get
+        out.append(all(leq(w, get(point, zero))
+                        for point, w in weights[s.lhs_rel, s.lhs_attrs].items()))
+    return out
 
 
 def infer_schema(sigmas: Iterable[IND]) -> Schema:

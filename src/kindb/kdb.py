@@ -27,6 +27,11 @@ first in the first column that holds one.
 A marginal groups the rows by their values on the queried attributes and
 sums each group with one ``add_all`` of its carrier; over the rationals that
 sum is taken over the group's least common denominator and normalized once.
+``marginals`` plans the marginals a list of sides needs: a side in its
+relation's own layout is the relation's weights, read in place; the others
+are made widest first, each from the smallest marginal of its relation made
+so far that covers it.  By commutativity and associativity the marginal over
+Z of a marginal over X ⊇ Z is the marginal over Z (a data cube's roll-up).
 """
 
 from __future__ import annotations
@@ -188,6 +193,36 @@ def marginalize(rel: KRelation, attrs: Iterable[str], m: MonoidSpec) -> KRelatio
         else:
             group.append(w)
     return KRelation(attrs, {k: m.add_all(ws) for k, ws in groups.items()})
+
+
+def marginals(db: KDatabase, sides: Iterable[tuple[str, tuple[str, ...]]]
+              ) -> dict[tuple[str, tuple[str, ...]], dict[Row, Element]]:
+    """The weights of each distinct side's marginal, each made once.
+
+    A side in its relation's own layout is the relation's ``weights`` dict
+    itself, neither copied nor grouped, so callers only read the result.
+    The other sides are made widest first, each by one ``marginalize`` of the
+    smallest marginal of its relation made so far whose attributes cover it,
+    or of the relation when none does.
+    """
+    wanted: dict[str, dict[tuple[str, ...], None]] = {}
+    for rel, attrs in sides:
+        wanted.setdefault(rel, {})[attrs] = None
+    out: dict[tuple[str, tuple[str, ...]], dict[Row, Element]] = {}
+    for rel, seqs in wanted.items():
+        kr = db.relation(rel)
+        made: list[KRelation] = []
+        for attrs in sorted(seqs, key=len, reverse=True):
+            if attrs == kr.attributes:
+                out[rel, attrs] = kr.weights
+                continue
+            source = kr
+            for mr in made:
+                if len(mr.weights) <= len(source.weights) and set(attrs).issubset(mr.attributes):
+                    source = mr
+            made.append(marginalize(source, attrs, db.monoid))
+            out[rel, attrs] = made[-1].weights
+    return out
 
 
 def support(db: KDatabase) -> KDatabase:

@@ -22,7 +22,7 @@ checks, decides all it can take part in, so only the first support of each
 profile is visited.  The relations take profiles in name order, keeping
 every choice of classes that passes the dependencies on the relations so
 far; reflexive ones hold everywhere and are not checked.  The first
-survivor is re-verified through ``satisfies``.
+survivor is re-verified through ``satisfies_all``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     SearchSpaceTooLarge,
     StarConstantError,
 )
-from .ind import IND, format_ind, infer_schema, satisfies, validate_ind
+from .ind import IND, format_ind, infer_schema, satisfies_all, validate_ind
 from .kdb import STAR, KDatabase, KRelation, Schema
 from .monoid import Element, MonoidSpec
 
@@ -268,6 +268,7 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
         rel: KRelation(schema.relations[rel], dict(zip(rows, (values[w] for w in least))))
         for rel, (_, rows, least) in zip(rels, picks)})
     # re-verify through the marginalization path before returning
-    if any(not satisfies(db, member) for member in sigma) or satisfies(db, tau):
+    *held, tau_held = satisfies_all(db, [*sigma, tau])
+    if not all(held) or tau_held:
         raise CountermodelError("incremental check and marginal semantics disagree")
     return Countermodel(db, CONSTRUCTION_ENUMERATION, {})

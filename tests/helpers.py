@@ -56,8 +56,10 @@ WEIGHT_POOLS = {
 
 
 def random_database(rng: random.Random, schema: Schema, m: MonoidSpec,
-                    consts=("a", "b", "c"), max_rows: int = 4) -> KDatabase:
-    pool = WEIGHT_POOLS[m.name]
+                    consts=("a", "b", "c"), max_rows: int = 4, pool=None) -> KDatabase:
+    """Up to ``max_rows`` rows per relation, weights drawn from ``pool``
+    (default: the carrier's pool in ``WEIGHT_POOLS``)."""
+    pool = pool or WEIGHT_POOLS[m.name]
     weights = {}
     for rel, attrs in schema.relations.items():
         rows = {}

@@ -3,12 +3,14 @@ import pathlib
 
 import pytest
 
+import kindb.cli
+import kindb.kdb
 from kindb.chase import ChaseConfig, plus_chase, trace_to_json
 from kindb.cli import main
 from kindb.entail import decide_entailment
 from kindb.ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
 from kindb.infer import RuleSystem, derives, proof_to_json
-from kindb.kdb import load_database, load_database_file
+from kindb.kdb import load_database, load_database_file, marginalize
 from kindb.monoid import BOOLEAN, parse_monoid
 from kindb.oracle import brute_force_entails
 
@@ -134,6 +136,82 @@ def test_check_reads_every_spelling_of_a_rational_weight_alike(capsys, tmp_path,
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 1
     assert sorted(outputs[0][1].values()) == [False, False, True, True, True]
+
+
+def _budget_document(projects: int, types: int, years: int) -> dict:
+    """Expense[proj,type,year] rows of weight 2, each Budget[proj,year] one more
+    than its expenses and each Grant[proj] the sum of its budgets."""
+    rel = {"Expense": [], "Budget": [], "Grant": []}
+    for p in range(projects):
+        proj = f"P{p}"
+        for y in range(years):
+            year = str(2020 + y)
+            rel["Expense"] += [{"tuple": {"proj": proj, "type": f"T{t}", "year": year},
+                                "weight": "2"} for t in range(types)]
+            rel["Budget"].append({"tuple": {"proj": proj, "year": year},
+                                  "weight": str(2 * types + 1)})
+        rel["Grant"].append({"tuple": {"proj": proj}, "weight": str((2 * types + 1) * years)})
+    return {"monoid": "naturals", "relations": rel,
+            "schema": {"Expense": ["proj", "type", "year"], "Budget": ["proj", "year"],
+                       "Grant": ["proj"]}}
+
+
+BUDGET_SIGMA = ("Expense[proj,year] <= Budget[proj,year]\nBudget[proj] <= Grant[proj]\n"
+                "Expense[proj] <= Grant[proj]\n")
+
+
+def test_check_makes_each_marginal_once_from_the_narrowest_source(capsys, tmp_path,
+                                                                 monkeypatch):
+    """On an 80 x 8 x 5 database, Expense's 3,200 rows are grouped once, for
+    Expense[proj,year]; Expense[proj] is rolled up from that 400-point
+    marginal; Budget[proj,year] and Grant[proj], sides in their relation's own
+    layout, are read in place: 4,000 rows grouped in all."""
+    db_path, inds = tmp_path / "db.json", tmp_path / "inds.txt"
+    db_path.write_text(json.dumps(_budget_document(80, 8, 5)))
+    inds.write_text(BUDGET_SIGMA)
+    loaded, made, calls = [], [], []
+
+    def load(path):
+        loaded.append(load_database_file(path))
+        return loaded[-1]
+
+    def counted(source, attrs, m):
+        result = marginalize(source, attrs, m)
+        names = [(kr, rel) for rel, kr in loaded[0].relations.items()] + made
+        name = next(name for kr, name in names if kr is source)
+        calls.append((name, tuple(attrs), len(source.weights)))
+        made.append((result, f"{name.split('[')[0]}[{','.join(attrs)}]"))
+        return result
+
+    monkeypatch.setattr(kindb.cli, "load_database_file", load)
+    monkeypatch.setattr(kindb.kdb, "marginalize", counted)
+    code, out, _ = run(capsys, "check", str(db_path), str(inds), "--json")
+    assert code == 0 and all(json.loads(out)["results"].values())
+    assert sorted(calls) == [("Budget", ("proj",), 400),
+                             ("Expense", ("proj", "year"), 3_200),
+                             ("Expense[proj,year]", ("proj",), 400)]
+    assert sum(rows for _, _, rows in calls) == 4_000
+
+
+def test_check_output_on_a_violating_database(capsys, tmp_path):
+    """Shared, rolled-up, arity-0 and repeated dependencies answer as before,
+    each reported once, in the order first listed."""
+    doc = _budget_document(3, 2, 2)
+    doc["relations"]["Budget"][0]["weight"] = "3"  # below P0's 2020 expenses of 4
+    db_path, inds = tmp_path / "db.json", tmp_path / "inds.txt"
+    db_path.write_text(json.dumps(doc))
+    inds.write_text(BUDGET_SIGMA + "Grant[] <= Budget[]\nBudget[] <= Grant[]\n"
+                    "Expense[proj,year] <= Budget[proj,year]\n")
+    assert run(capsys, "check", str(db_path), str(inds), "--json") == (1, (
+        '{"results": {"Budget[] <= Grant[]": true, "Budget[proj] <= Grant[proj]": true, '
+        '"Expense[proj,year] <= Budget[proj,year]": false, '
+        '"Expense[proj] <= Grant[proj]": true, "Grant[] <= Budget[]": false}}\n'), "")
+    assert run(capsys, "check", str(db_path), str(inds)) == (1, (
+        "VIOLATED Expense[proj,year] <= Budget[proj,year]\n"
+        "OK       Budget[proj] <= Grant[proj]\n"
+        "OK       Expense[proj] <= Grant[proj]\n"
+        "VIOLATED Grant[] <= Budget[]\n"
+        "OK       Budget[] <= Grant[]\n"), "")
 
 
 def test_entail_weak_symmetry_proof(capsys, workspace):

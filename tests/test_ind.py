@@ -1,7 +1,11 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import BUILTIN_MONOIDS, random_database, reference_marginal_at, schemas
 from kindb.errors import (
     ArityMismatch,
     DuplicateAttribute,
@@ -17,9 +21,10 @@ from kindb.ind import (
     parse_ind,
     parse_ind_list,
     satisfies,
+    satisfies_all,
 )
 from kindb.kdb import make_database, schema_of, support
-from kindb.monoid import BOOLEAN, MAX_NATURALS, NATURALS, monogenic
+from kindb.monoid import BOOLEAN, MAX_NATURALS, NATURALS, monogenic, table_from_dict
 
 C1 = "Expense[proj,year] <= Budget[proj,year]"
 C2 = "Budget[proj] <= Grant[proj]"
@@ -138,3 +143,81 @@ def test_infer_schema():
         "Budget": ("proj", "year"),
         "Grant": ("proj",),
     }
+
+
+# the join semilattice 0 < a, b < t: a carrier whose natural order is partial
+TABLE_JOIN = table_from_dict({"elements": ["0", "a", "b", "t"], "zero": "0",
+                              "op": {"0,0": "0", "0,a": "a", "0,b": "b", "0,t": "t",
+                                     "a,a": "a", "a,b": "t", "a,t": "t",
+                                     "b,b": "b", "b,t": "t", "t,t": "t"}})
+
+
+def reference_satisfies(db, sigma) -> bool:
+    """Each point of the left side's support, its two marginals re-summed row by row."""
+    m = db.monoid
+    lhs = db.relation(sigma.lhs_rel).weights
+    rhs = db.relation(sigma.rhs_rel).weights
+    lpos = db.schema.positions(sigma.lhs_rel, sigma.lhs_attrs)
+    rpos = db.schema.positions(sigma.rhs_rel, sigma.rhs_attrs)
+    points = {tuple(row[i] for i in lpos) for row in lhs}
+    return all(m.leq(reference_marginal_at(lhs, lpos, p, m), reference_marginal_at(rhs, rpos, p, m))
+               for p in points)
+
+
+@st.composite
+def _side(draw, schema, k):
+    """A side of arity ``k``: a relation's own layout, a permutation of it, or
+    any ``k`` of its attributes in any order."""
+    rel = draw(st.sampled_from(sorted(r for r, attrs in schema.relations.items()
+                                      if len(attrs) >= k)))
+    layout = schema.relations[rel]
+    if len(layout) == k and draw(st.booleans()):
+        return rel, layout
+    return rel, tuple(draw(st.permutations(layout))[:k])
+
+
+@st.composite
+def _dependency_lists(draw, schema):
+    """Dependencies whose sides are often own layouts, full permutations or
+    arity 0, with repeats and projections of earlier members, so that one
+    relation's sides nest."""
+    top = max(len(attrs) for attrs in schema.relations.values())
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        roll = draw(st.integers(0, 3))
+        if out and roll == 0:
+            out.append(draw(st.sampled_from(out)))
+        elif out and roll == 1:
+            s = draw(st.sampled_from(out))
+            mask = draw(st.lists(st.booleans(), min_size=s.arity, max_size=s.arity))
+            keep = [i for i, kept in enumerate(mask) if kept]
+            out.append(IND(s.lhs_rel, tuple(s.lhs_attrs[i] for i in keep),
+                           s.rhs_rel, tuple(s.rhs_attrs[i] for i in keep)))
+        else:
+            k = draw(st.integers(0, top))
+            (lrel, lattrs), (rrel, rattrs) = draw(_side(schema, k)), draw(_side(schema, k))
+            out.append(IND(lrel, lattrs, rrel, rattrs))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_satisfies_all_matches_reference(data):
+    m = data.draw(st.sampled_from(BUILTIN_MONOIDS + [TABLE_JOIN]))
+    schema = data.draw(schemas())
+    pool = ["a", "b", "t"] if m is TABLE_JOIN else None
+    db = random_database(random.Random(data.draw(st.integers(0, 2**32))), schema, m,
+                         consts=("x", "y"), max_rows=6, pool=pool)
+    sigmas = data.draw(_dependency_lists(schema))
+    before = db.copy()
+    assert satisfies_all(db, sigmas) == [reference_satisfies(db, s) for s in sigmas]
+    assert db == before
+    # a bad dependency anywhere in the list fails as it does alone
+    rel = sorted(schema.relations)[0]
+    bad = data.draw(st.sampled_from([IND("Z", (), rel, ()), IND(rel, ("nope",), rel, ("nope",)),
+                                     IND(rel, (), "Z", ())]))
+    sigmas.insert(data.draw(st.integers(0, len(sigmas))), bad)
+    with pytest.raises(Exception) as alone:
+        satisfies(db, bad)
+    with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+        satisfies_all(db, sigmas)
