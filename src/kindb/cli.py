@@ -162,6 +162,7 @@ def _is_strings(value) -> bool:
 
 # the shape of each oracle config field: a check and what it expects
 ORACLE_FIELDS = {
+    "monoid": (lambda v: isinstance(v, (str, dict)), "a monoid name or an operation table"),
     "sigma": (_is_strings, "a list of dependency strings"),
     "tau": (lambda v: isinstance(v, str), "a dependency string"),
     "adom": (_is_strings, "a list of constant names"),
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entail.add_argument("--monoid", default="naturals")
     p_entail.add_argument("--balanced", action="store_true")
     p_entail.add_argument("--step-limit", type=int, default=10_000)
-    p_entail.add_argument("--system", choices=["standard", "ws", "balance"],
+    p_entail.add_argument("--system", choices=[system.value for system in RuleSystem],
                           help="decide pure derivability in this rule system instead")
     p_entail.add_argument("--json", action="store_true")
     p_entail.set_defaults(func=cmd_entail)

@@ -23,6 +23,17 @@ profile is visited.  The relations take profiles in name order, keeping
 every choice of classes that passes the dependencies on the relations so
 far; reflexive ones hold everywhere and are not checked.  The first
 survivor is re-verified through ``satisfies_all``.
+
+A dependency reads marginals alone, so renaming the constants maps
+counterexamples to counterexamples.  The first relation's support is
+compared before anything else, so a support of it that a swap of two
+constants makes smaller cannot hold the least counterexample: it is neither
+built nor visited, and the answer is unchanged.  The same swap makes every
+extension of such a support smaller, so only a support whose parent was
+kept is tried, and a kept support's parent has its classes built.  A
+support that leaves out one of the first constants is made smaller by a
+swap with it; any other is tried under the swaps of two constants it uses,
+at most quadratically many.
 """
 
 from __future__ import annotations
@@ -50,6 +61,20 @@ def _support_choices(candidates: list[tuple], max_tuples: int) -> list[tuple]:
     for size in range(min(max_tuples, len(candidates)) + 1):
         out.extend(itertools.combinations(candidates, size))
     return out
+
+
+def _renamed_smaller(rows: tuple, constants: list[str]) -> bool:
+    """Whether a swap of two of the sorted ``constants`` makes the support
+    ``rows`` smaller.  Swapping a used constant with an unused one replaces
+    it in every row it is in, so makes the support smaller exactly when the
+    unused one is smaller: only a support that uses the first constants is
+    left to try the swaps of two used constants on."""
+    used = {c for row in rows for c in row}
+    first = constants[:len(used)]
+    return used != set(first) or any(
+        tuple(sorted(tuple(b if c == a else a if c == b else c for c in row)
+                     for row in rows)) < rows
+        for a, b in itertools.combinations(first, 2))
 
 
 def _space_size(row_counts: list[int], pool_size: int, max_tuples: int, cap: int) -> int:
@@ -206,6 +231,7 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
     seen: list = [set() for _ in rels]
     firsts: list = [[] for _ in rels]
     built = [0] * len(rels)
+    kept = {()}  # the supports of relation 0 that no swap makes smaller
 
     def profiles(i: int):
         """The surviving classes of the first support of each nonempty
@@ -215,6 +241,11 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
             while k == len(firsts[i]) and built[i] < len(support_lists[i]):
                 rows = support_lists[i][built[i]]
                 built[i] += 1
+                if i == 0:
+                    # a swap that makes a support smaller makes its extensions smaller
+                    if rows[:-1] not in kept or _renamed_smaller(rows, constants):
+                        continue
+                    kept.add(rows)
                 seq = tuple(points[i][row] for row in rows)
                 if seq in tables[i]:
                     continue

@@ -254,11 +254,23 @@ def test_entail_syntactic_mode(capsys, workspace):
     code, out, _ = run(capsys, "entail", str(workspace / "ws.txt"),
                        "Grant[proj] <= Budget[proj]", "--system", "standard")
     assert code == 1
-    # the CLI offers three of the four rule systems: standard + balance is library-only
+    # the CLI offers the four rule systems by their values, and nothing else
     with pytest.raises(SystemExit):
         main(["entail", str(workspace / "ws.txt"), "Grant[proj] <= Budget[proj]",
-              "--system", "standard+balance"])
+              "--system", "ws+balance"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_entail_offers_the_standard_rules_with_the_balance_axioms(capsys, tmp_path):
+    sigma = tmp_path / "empty.txt"
+    sigma.write_text("")
+    code, out, _ = run(capsys, "entail", str(sigma), "R[] <= S[]", "--system", "standard+balance")
+    assert code == 0
+    assert json.loads(out) == {"derivable": True, "system": "standard+balance",
+                               "proof": {"conclusion": "R[] <= S[]", "rule": "balance"}}
+    code, out, _ = run(capsys, "entail", str(sigma), "R[] <= S[]", "--system", "standard")
+    assert code == 1
+    assert json.loads(out) == {"derivable": False, "system": "standard"}
 
 
 def test_chase_plus_step_limit(capsys, workspace):
@@ -416,6 +428,36 @@ def test_oracle_malformed_config(capsys, tmp_path, doc, field):
     code, _, err = run(capsys, "oracle", str(config))
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+# Each field of ORACLE replaced by a value of each JSON type, each required key
+# dropped, and the document wrapped in a list.  Only these replacements keep
+# the shape valid; every other variant must exit 2 and name its field.
+VALUE_KINDS = {"null": None, "number": 3, "string": "x", "list": [0], "object": {"a": 1},
+               "boolean": True}
+VALID_SHAPES = {("monoid", "string"), ("monoid", "object"), ("tau", "string"),
+                ("weight_pool", "list"), ("max_tuples", "number"),
+                ("max_candidates", "number"), ("balanced", "boolean")}
+ORACLE_FIELD_NAMES = [*ORACLE, "max_candidates", "balanced"]
+ORACLE_VARIANTS = (
+    [(f"{field}={kind}", {**ORACLE, field: value}, field, (field, kind) in VALID_SHAPES)
+     for field in ORACLE_FIELD_NAMES for kind, value in VALUE_KINDS.items()]
+    + [(f"no {field}", {k: v for k, v in ORACLE.items() if k != field}, field, False)
+       for field in ORACLE]
+    + [("wrapped", [ORACLE], "object", False)])
+
+
+@pytest.mark.parametrize("doc,field,valid", [variant[1:] for variant in ORACLE_VARIANTS],
+                         ids=[variant[0] for variant in ORACLE_VARIANTS])
+def test_oracle_config_corpus(capsys, tmp_path, doc, field, valid):
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "oracle", str(config))
+    assert "Traceback" not in err
+    if valid:
+        assert code in (0, 1, 2)
+    else:
+        assert code == 2 and field in err
 
 
 def test_oracle_refuses_an_oversized_space_before_building_it(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -131,8 +132,76 @@ def test_relation_pruned_by_its_own_checks_never_reaches_later_weightings(monkey
     kwargs = dict(adom=["x", "y"], weight_pool=[1, 2], max_tuples=1, schema=schema)
     assert brute_force_entails(*args, **kwargs) is None
     assert reference_search(*args, **kwargs) is None
-    assert len(built) == 5  # the empty support and the four rows of R
+    assert len(built) == 3  # the empty support, (x,x) and (x,y): no renaming makes them smaller
     assert all(len(row) == 2 for rows in built for row in rows)
+
+
+def test_first_relation_skips_supports_that_a_swap_makes_smaller(monkeypatch):
+    # Swapping x and y maps (y,x) to (x,y) and (y,y) to (x,x), which come
+    # first, and makes every support of two rows that starts with either
+    # smaller too.  The query is entailed, so the search visits every kept
+    # support of R.
+    built = []
+    real = oracle._support_classes
+
+    def spy(rows, *rest):
+        built.append(rows)
+        return real(rows, *rest)
+
+    monkeypatch.setattr(oracle, "_support_classes", spy)
+    args = (parse_ind("R[A,B] <= S[C,D]"),), parse_ind("R[B] <= S[D]"), NATURALS
+    kwargs = dict(adom=["x", "y"], weight_pool=[1, 2], max_tuples=2,
+                  schema=schema_of({"R": ("A", "B"), "S": ("C", "D", "E")}))
+    assert brute_force_entails(*args, **kwargs) is None
+    assert reference_search(*args, **kwargs) is None
+    one_row_of_r = {rows[0] for rows in built if len(rows) == 1 and len(rows[0]) == 2}
+    assert one_row_of_r == {("x", "x"), ("x", "y")}
+
+
+def test_renamed_smaller_tries_every_swap():
+    # The shortcut over unused constants decides what trying every swap of
+    # two constants decides, on every support of up to three rows; and a
+    # kept support's parent is kept, so its classes are there to extend.
+    for constants in (["x"], ["x", "y"], ["w", "x", "y", "z"]):
+        for arity in range(3):
+            rows = sorted(itertools.product(constants, repeat=arity))
+            for support in oracle._support_choices(rows, 3):
+                smaller = any(
+                    tuple(sorted(tuple({a: b, b: a}.get(c, c) for c in row) for row in support))
+                    < support for a, b in itertools.combinations(constants, 2))
+                assert oracle._renamed_smaller(support, constants) == smaller, support
+                assert smaller or not oracle._renamed_smaller(support[:-1], constants), support
+
+
+@st.composite
+def renamable_cases(draw):
+    """A hypothesis strategy: one bounded search whose first relation R has
+    arity 2 over three constants or arity 1 over four, so that many of its
+    supports are renamings of earlier ones, beside an S of arity 0 to 2;
+    any monoid, a pool of one to three nonzero weights (and maybe zero), and
+    a balanced or unbalanced search."""
+    arity, adom = draw(st.sampled_from([(2, ["x", "y", "z"]), (1, ["w", "x", "y", "z"])]))
+    schema = schema_of({"R": ("A", "B")[:arity], "S": ("C", "D")[:draw(st.integers(0, 2))]})
+    m = draw(st.sampled_from(BUILTIN_MONOIDS))
+    pool = draw(st.lists(st.sampled_from(WEIGHT_POOLS[m.name]), min_size=1, max_size=3,
+                         unique=True))
+    return (draw(st.lists(dependencies(schema), max_size=3)), draw(dependencies(schema)), m,
+            dict(adom=adom, weight_pool=pool + draw(st.sampled_from([[], [m.zero]])),
+                 max_tuples=draw(st.integers(1, 3)), schema=schema),
+            draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(renamable_cases())
+def test_renaming_pruned_search_matches_reference_enumerator(case):
+    sigma, tau, m, kwargs, balanced = case
+    search = brute_force_balanced_entails if balanced else brute_force_entails
+    try:
+        found = search(sigma, tau, m, max_candidates=3000, **kwargs)
+    except SearchSpaceTooLarge:
+        reject()
+    expected = reference_search(sigma, tau, m, balanced=balanced, **kwargs)
+    assert (found.database if found else None) == expected
 
 
 ATTRS = {"R": ("A", "B"), "S": ("C", "D"), "T": ("E", "F")}
