@@ -28,10 +28,10 @@ from .chase import (
 )
 from .entail import decide_entailment
 from .errors import ChaseBudgetExceeded, ElementError, KindbError, ParseError
-from .ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies_all
+from .ind import format_ind, load_ind_file, parse_ind, query_schema, satisfies_all
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
-from .kdb import KDatabase, load_database_file, read_json_file
-from .monoid import BOOLEAN, NATURALS, parse_monoid, table_from_dict
+from .kdb import KDatabase, load_database_file, parse_json, read_file
+from .monoid import BOOLEAN, NATURALS, parse_monoid
 from .oracle import brute_force_balanced_entails, brute_force_entails
 
 EXIT_YES = 0
@@ -48,7 +48,7 @@ def _json_text(payload: dict) -> str:
 
 def _load_monoid_arg(spec: str):
     if spec.endswith(".json"):
-        return table_from_dict(read_json_file(spec))
+        return read_file(spec, lambda text: parse_monoid(parse_json(text)))
     return parse_monoid(spec)
 
 
@@ -100,7 +100,7 @@ def cmd_entail(args) -> int:
     tau = parse_ind(args.tau)
     if args.system is not None:
         # syntactic mode: decide derivability in the requested rule system
-        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
+        schema = query_schema(sigma, tau)
         ok, proof = derives(sigma, tau, RuleSystem(args.system), schema)
         payload = {"derivable": ok, "system": args.system}
         if proof is not None:
@@ -120,7 +120,7 @@ def cmd_chase(args) -> int:
     sigma = load_ind_file(args.sigma)
     if args.start.startswith("canonical:"):
         tau = parse_ind(args.start[len("canonical:"):])
-        schema = infer_schema(sorted(set(sigma) | {tau}, key=format_ind))
+        schema = query_schema(sigma, tau)
         start = canonical_start(tau, schema, NATURALS if args.plus else BOOLEAN)
     else:
         start = load_database_file(args.start)
@@ -173,8 +173,9 @@ ORACLE_FIELDS = {
 }
 
 
-def cmd_oracle(args) -> int:
-    config = read_json_file(args.config)
+def _oracle_search(text: str):
+    """The search an oracle config asks for, ready to run."""
+    config = parse_json(text)
     if not isinstance(config, dict):
         raise ParseError("oracle config must be a JSON object")
     for name in ("monoid", "sigma", "tau", "adom", "weight_pool", "max_tuples"):
@@ -192,9 +193,13 @@ def cmd_oracle(args) -> int:
         raise ElementError(f"weight_pool: {exc}") from None
     search = (brute_force_balanced_entails if config.get("balanced", False)
               else brute_force_entails)
-    found = search(sigma, tau, m, adom=config["adom"], weight_pool=pool,
-                   max_tuples=config["max_tuples"],
-                   max_candidates=config.get("max_candidates", 2_000_000))
+    return functools.partial(search, sigma, tau, m, adom=config["adom"], weight_pool=pool,
+                             max_tuples=config["max_tuples"],
+                             max_candidates=config.get("max_candidates", 2_000_000))
+
+
+def cmd_oracle(args) -> int:
+    found = read_file(args.config, _oracle_search)()
     if found is None:
         print(_json_text({"counterexample": None}))
         return EXIT_YES

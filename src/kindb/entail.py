@@ -21,8 +21,10 @@ countermodel, re-verified before it is returned.  The constructions are:
   along a caller-supplied absorption chain a_0..a_n that is not constant
   (``build_countermodel_ca``; a constant chain gives ``sa_embedding``).
 
-``decide_entailment`` returns the first two, and ``build_countermodel_ca``
-builds the last two from a caller-supplied chain.
+``decide_entailment`` returns the first two and ``build_countermodel_ca`` the
+last two, both over ``ind.query_schema`` (the relations the query mentions,
+so a constant chain gives ``decide_entailment``'s countermodel).  ``verified``
+certifies each, and the falsifier's ``enumeration`` too.
 """
 
 from __future__ import annotations
@@ -38,15 +40,10 @@ from .errors import (
     UnsupportedMonoid,
 )
 from .chase import ChaseConfig, canonical_start, classical_chase, plus_chase
-from .ind import IND, format_ind, ind_sort_key, infer_schema, satisfies, satisfies_all
+from .ind import IND, format_ind, query_schema, satisfies, satisfies_all
 from .infer import DerivationGraph, DerivationProof, RuleSystem, proof_to_json
 from .kdb import KDatabase, KRelation, Schema, degree, dump_database, is_balanced
-from .monoid import (
-    BOOLEAN,
-    Element,
-    MonoidSpec,
-    NATURALS,
-)
+from .monoid import BOOLEAN, NATURALS, Element, MonoidSpec
 
 METHOD_PLUS_CHASE = "plus_chase"
 METHOD_CLASSICAL_CHASE = "classical_chase"
@@ -99,26 +96,15 @@ class EntailmentVerdict:
         return out
 
 
-def _verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IND],
-              tau: IND, balanced: bool) -> Countermodel:
+def verified(db: KDatabase, construction: str, params: dict, sigma: Iterable[IND],
+             tau: IND, balanced: bool) -> Countermodel:
     """The countermodel, once ``sigma`` holds in ``db``, ``tau`` fails there
-    and, when ``balanced``, ``db`` is balanced."""
+    and, when ``balanced``, ``db`` is balanced.  Certifies every construction."""
     *held, tau_held = satisfies_all(db, [*sigma, tau])
     if not (all(held) and not tau_held and (not balanced or is_balanced(db))):
         raise CountermodelError(
             f"{construction} countermodel failed verification for {format_ind(tau)}")
     return Countermodel(db, construction, params)
-
-
-def _embedded(counts: KDatabase, m: MonoidSpec, b: Element, sigma: Iterable[IND],
-              tau: IND, balanced: bool) -> Countermodel:
-    """Re-weight each count n of an additive chase result to n*b, and verify."""
-    b = m.check(b)
-    db = KDatabase(counts.schema, m, {
-        rel: KRelation(kr.attributes, {row: m.times(b, n)
-                                       for row, n in kr.weights.items()})
-        for rel, kr in counts.relations.items()})
-    return _verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
 
 
 def _stratified(chased: KDatabase, m: MonoidSpec, chain: list[Element],
@@ -130,7 +116,7 @@ def _stratified(chased: KDatabase, m: MonoidSpec, chain: list[Element],
                                        for row in kr.weights})
         for rel, kr in chased.relations.items()})
     construction = CONSTRUCTION_SA if len(set(chain)) == 1 else CONSTRUCTION_CA
-    return _verified(db, construction, {"chain": chain}, sigma, tau, balanced)
+    return verified(db, construction, {"chain": chain}, sigma, tau, balanced)
 
 
 def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
@@ -147,13 +133,7 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     absorptive.  The search and the chase must agree.
     """
     sigma = set(sigma)
-    given = sorted(sigma | {tau}, key=ind_sort_key)
-    if schema is None:
-        schema = infer_schema(given)
-    # work over the mentioned relations only, so countermodels (and the
-    # balance check) ignore unrelated parts of a wider schema
-    mentioned = {r for s in given for r in (s.lhs_rel, s.rhs_rel)}
-    schema = Schema({r: schema.attributes(r) for r in sorted(mentioned)})
+    schema = query_schema(sigma, tau, schema)
     wc = m.classify().weakly_cancellative
     # a finite positive monoid is nontrivial iff it has a nonzero idempotent
     if m.is_finite and m.nonzero_idempotent() is None:
@@ -178,7 +158,11 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
         return EntailmentVerdict(True, system, proof=proof)
 
     if wc:
-        cm = _embedded(chased, m, m.some_nonzero(), sigma, tau, balanced)
+        b = m.check(m.some_nonzero())
+        db = KDatabase(chased.schema, m, {
+            rel: KRelation(kr.attributes, {row: m.times(b, n) for row, n in kr.weights.items()})
+            for rel, kr in chased.relations.items()})
+        cm = verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
     else:
         idem = m.nonzero_idempotent()
         if idem is None:
@@ -195,8 +179,7 @@ def build_countermodel_ca(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     """Countermodel from an absorption chain a_0..a_n: chase the canonical
     start classically, then weight each tuple a_{n - degree}."""
     sigma = set(sigma)
-    if schema is None:
-        schema = infer_schema(sorted(sigma | {tau}, key=format_ind))
+    schema = query_schema(sigma, tau, schema)
     chain = [m.check(c) for c in chain]
     n = tau.arity
     if len(chain) < n + 1:

@@ -23,7 +23,7 @@ from .errors import (
     DuplicateAttribute,
     ParseError,
 )
-from .kdb import KDatabase, Schema, marginals, schema_of
+from .kdb import KDatabase, Schema, marginals, read_file, schema_of
 
 _IND_RE = re.compile(
     r"^\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*<=\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*$")
@@ -61,8 +61,7 @@ def format_ind(sigma: IND) -> str:
             f"{sigma.rhs_rel}[{','.join(sigma.rhs_attrs)}]")
 
 
-def ind_sort_key(sigma: IND) -> str:
-    return format_ind(sigma)
+ind_sort_key = format_ind  # the canonical order of dependencies
 
 
 def _split_attrs(text: str, rel: str) -> tuple[str, ...]:
@@ -141,6 +140,17 @@ def infer_schema(sigmas: Iterable[IND]) -> Schema:
     return schema_of(relations)
 
 
+def query_schema(sigma: Iterable[IND], tau: IND, schema: Optional[Schema] = None) -> Schema:
+    """The schema a query runs over: the relations that ``sigma`` and ``tau``
+    mention, in name order, with their attributes in ``schema`` or, without
+    one, as inferred from the dependencies in canonical order."""
+    given = sorted(set(sigma) | {tau}, key=ind_sort_key)
+    if schema is None:
+        schema = infer_schema(given)
+    mentioned = {r for s in given for r in (s.lhs_rel, s.rhs_rel)}
+    return Schema({r: schema.attributes(r) for r in sorted(mentioned)})
+
+
 def parse_ind_list(text: str, schema: Optional[Schema] = None) -> list[IND]:
     """Parse a newline-separated dependency list; ``#`` starts a comment."""
     out = []
@@ -152,9 +162,5 @@ def parse_ind_list(text: str, schema: Optional[Schema] = None) -> list[IND]:
 
 
 def load_ind_file(path: str, schema: Optional[Schema] = None) -> list[IND]:
-    """Read a dependency list file; its parse errors name the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_ind_list(fh.read(), schema)
-    except (ParseError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """Read a dependency list file."""
+    return read_file(path, lambda text: parse_ind_list(text, schema))

@@ -32,6 +32,9 @@ relation's own layout is the relation's weights, read in place; the others
 are made widest first, each from the smallest marginal of its relation made
 so far that covers it.  By commutativity and associativity the marginal over
 Z of a marginal over X ⊇ Z is the marginal over Z (a data cube's roll-up).
+
+Every file kindb reads, databases, dependency lists, monoid tables and
+oracle configs, is read by ``read_file``, so each input error names it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import (
     DuplicateAttribute,
@@ -54,6 +57,7 @@ from .errors import (
 from .monoid import BOOLEAN, Element, MonoidSpec, parse_monoid
 
 Row = tuple[str, ...]
+T = TypeVar("T")
 
 STAR = "*"
 
@@ -255,13 +259,17 @@ def parse_json(text: str):
         raise ParseError(f"malformed JSON: {exc}") from None
 
 
-def read_json_file(path: str):
-    """Decode a JSON file; its input errors name the file."""
+def read_file(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of a UTF-8 text file.  Every input error names the file:
+    text that is not UTF-8 as a ``ParseError``, and each ``KindbError`` that
+    ``parse`` raises with its own type."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_json(fh.read())
-    except (ParseError, UnicodeDecodeError) as exc:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except KindbError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_database(obj: Union[dict, str], allow_star: bool = False) -> KDatabase:
@@ -346,12 +354,8 @@ def _load_relation(rel: str, attrs: tuple[str, ...], rows: list, monoid: MonoidS
 
 
 def load_database_file(path: str) -> KDatabase:
-    """Load a database file; its input errors name the file."""
-    obj = read_json_file(path)
-    try:
-        return load_database(obj)
-    except KindbError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    """Load a database file."""
+    return read_file(path, load_database)
 
 
 def dump_database(db: KDatabase) -> dict:

@@ -578,11 +578,13 @@ def table_from_dict(spec: dict, name: str = "table") -> TableMonoid:
     Expected shape: ``{"elements": [...], "zero": "0", "op": {"a,b": "c", ...}}``
     with every unordered pair present (commutative closure is applied).
     """
+    if not isinstance(spec, dict):
+        raise ParseError(f"a monoid table is a JSON object, not {spec!r}")
     try:
         elements = spec["elements"]
         zero = spec["zero"]
         raw_op = spec["op"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"malformed monoid table: missing {exc}") from None
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ParseError('malformed monoid table: "elements" must be a list of names')

@@ -22,7 +22,7 @@ checks, decides all it can take part in, so only the first support of each
 profile is visited.  The relations take profiles in name order, keeping
 every choice of classes that passes the dependencies on the relations so
 far; reflexive ones hold everywhere and are not checked.  The first
-survivor is re-verified through ``satisfies_all``.
+survivor is certified by ``entail.verified``, its balance included.
 
 A dependency reads marginals alone, so renaming the constants maps
 counterexamples to counterexamples.  The first relation's support is
@@ -41,15 +41,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from .entail import Countermodel
+from .entail import Countermodel, verified
 from .errors import (
-    CountermodelError,
     ElementError,
     ParseError,
     SearchSpaceTooLarge,
     StarConstantError,
 )
-from .ind import IND, format_ind, infer_schema, satisfies_all, validate_ind
+from .ind import IND, ind_sort_key, infer_schema, validate_ind
 from .kdb import STAR, KDatabase, KRelation, Schema
 from .monoid import Element, MonoidSpec
 
@@ -143,7 +142,7 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
         raise ParseError(f"adom must be a collection of constant names (strings), got {adom!r}")
     if STAR in adom:
         raise StarConstantError(f"adom must not hold the reserved constant {STAR!r}")
-    sigma = sorted(set(sigma), key=format_ind)
+    sigma = sorted(set(sigma), key=ind_sort_key)
     if schema is None:
         schema = infer_schema(sigma + [tau])
     for s in sigma + [tau]:
@@ -298,8 +297,4 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
     db = KDatabase(schema, m, {
         rel: KRelation(schema.relations[rel], dict(zip(rows, (values[w] for w in least))))
         for rel, (_, rows, least) in zip(rels, picks)})
-    # re-verify through the marginalization path before returning
-    *held, tau_held = satisfies_all(db, [*sigma, tau])
-    if not all(held) or tau_held:
-        raise CountermodelError("incremental check and marginal semantics disagree")
-    return Countermodel(db, CONSTRUCTION_ENUMERATION, {})
+    return verified(db, CONSTRUCTION_ENUMERATION, {}, sigma, tau, balanced)

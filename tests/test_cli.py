@@ -545,3 +545,178 @@ def test_json_output_is_one_line_with_sorted_keys(capsys, workspace, command, ar
         trace = workspace / "trace.json"
         _, again, _ = run(capsys, *argv, "--trace-out", str(trace))
         assert again == out and trace.read_text() == out.rstrip("\n")
+
+
+# -- every input file names itself, and a fuzz corpus of malformed files -----
+
+DROP = object()
+
+
+def _replaced(doc, path, value):
+    """A deep copy of ``doc`` with the item at ``path`` replaced by ``value``,
+    or dropped when ``value`` is ``DROP``."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    holder = doc
+    for key in outer:
+        holder = holder[key]
+    if value is DROP:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+DB_DOC = {"monoid": "naturals", "schema": {"R": ["A"]},
+          "relations": {"R": [{"tuple": {"A": "a"}, "weight": "1"}]}}
+ROW = ("relations", "R", 0)
+# each field of DB_DOC, where it is and what an error about it names
+DB_FIELDS = {
+    "monoid": (("monoid",), "monoid"),
+    "schema": (("schema",), '"schema"'),
+    "attribute list": (("schema", "R"), '"schema"'),
+    "relations": (("relations",), '"relations"'),
+    "row entry": (ROW, "malformed row entry in relation R"),
+    "tuple": ((*ROW, "tuple"), "tuple"),
+    "cell": ((*ROW, "tuple", "A"), "R.A"),
+    "weight": ((*ROW, "weight"), "R.weight"),
+}
+# an object where the tuple should be keeps the entry's shape, and its keys
+# are then not the relation's attributes
+DB_NAMED = {("tuple", "object"): "exactly the attributes ['A']"}
+DB_VALID = {("cell", "number"), ("cell", "string"), ("weight", "number"), ("no", "relations")}
+DB_DROPS = {"monoid": (("monoid",), "missing 'monoid'"),
+            "schema": (("schema",), "missing 'schema'"),
+            "relations": (("relations",), ""),
+            "attribute list": (("schema", "R"), "unknown relation 'R'"),
+            "tuple": ((*ROW, "tuple"), "malformed row entry in relation R"),
+            "weight": ((*ROW, "weight"), "malformed row entry in relation R"),
+            "cell": ((*ROW, "tuple", "A"), "exactly the attributes ['A']")}
+DB_VARIANTS = (
+    [(f"{field}={kind}", _replaced(DB_DOC, path, value),
+      DB_NAMED.get((field, kind), named), (field, kind) in DB_VALID)
+     for field, (path, named) in DB_FIELDS.items() for kind, value in VALUE_KINDS.items()]
+    + [(f"no {field}", _replaced(DB_DOC, path, DROP), named, ("no", field) in DB_VALID)
+       for field, (path, named) in DB_DROPS.items()]
+    + [("repeated attribute", _replaced(DB_DOC, ("schema", "R"), ["A", "A"]),
+        "repeats an attribute", False),
+       ("wrapped", [DB_DOC], "must be a JSON object", False),
+       ("wrapped twice", [[DB_DOC]], "must be a JSON object", False),
+       ("nested", {"database": DB_DOC}, "missing 'monoid'", False)])
+
+
+@pytest.mark.parametrize("doc,named,valid", [variant[1:] for variant in DB_VARIANTS],
+                         ids=[variant[0] for variant in DB_VARIANTS])
+def test_database_document_corpus(capsys, tmp_path, doc, named, valid):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps(doc))
+    inds = tmp_path / "inds.txt"
+    inds.write_text("R[A] <= R[A]\n")
+    code, out, err = run(capsys, "check", str(db), str(inds))
+    assert "Traceback" not in err
+    if valid:
+        assert code == 0 and out.startswith("OK")
+    else:
+        prefix = f"error: {db}: "
+        assert code == 2 and out == ""
+        assert err.startswith(prefix) and named in err[len(prefix):]
+
+
+TABLE_DOC = {"elements": ["0", "1"], "zero": "0", "op": {"0,0": "0", "0,1": "1", "1,1": "1"}}
+TABLE_FIELDS = {"elements": (("elements",), '"elements"'), "zero": (("zero",), "zero element"),
+                "op": (("op",), "op"), "op value": (("op", "0,1"), "op entry 0,1")}
+TABLE_VARIANTS = (
+    [(f"{field}={kind}", _replaced(TABLE_DOC, path, value), named)
+     for field, (path, named) in TABLE_FIELDS.items() for kind, value in VALUE_KINDS.items()]
+    # a JSON object's keys are strings: an op key is replaced by the text of each kind
+    + [(f"op key={kind}", {**TABLE_DOC, "op": {"0,0": "0", json.dumps(value): "1", "1,1": "1"}},
+        "malformed op key")
+       for kind, value in VALUE_KINDS.items()]
+    + [(f"no {field}", _replaced(TABLE_DOC, path, DROP), f"missing '{field}'")
+       for field, (path, _) in list(TABLE_FIELDS.items())[:3]]
+    + [("repeated element", {**TABLE_DOC, "elements": ["0", "1", "1"]}, "duplicate element"),
+       ("wrapped", [TABLE_DOC], "a monoid is a name or an operation table"),
+       ("nested", {"table": TABLE_DOC}, "missing 'elements'")])
+
+
+@pytest.mark.parametrize("doc,named", [variant[1:] for variant in TABLE_VARIANTS],
+                         ids=[variant[0] for variant in TABLE_VARIANTS])
+def test_monoid_table_corpus(capsys, tmp_path, doc, named):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(table))
+    prefix = f"error: {table}: "
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(prefix) and named in err[len(prefix):]
+
+
+# each malformed dependency file, what its error names, and whether the
+# error needs a schema (a database to check against) to show
+IND_FILES = {
+    "syntax": (b"R[A] <= R[A]\nR[A <= R[A]\n", "cannot parse inclusion dependency 'R[A <= R[A]'",
+               False),
+    "attribute list": (b"R[A B] <= R[A]\n", "malformed attribute list 'A B' for relation R",
+                       False),
+    "relation": (b"R[A] <= X[A]\n", "unknown relation 'X'", True),
+    "attribute": (b"R[A] <= R[B]\n", "relation R has no attribute 'B'", True),
+    "repeated attribute": (b"R[A,A] <= R[A,A]\n", "R['A', 'A'] repeats an attribute", False),
+    "arity": (b"R[A] <= R[]\n", "attribute sequences differ in length", False),
+    "not utf-8": (b"R[A] <= R[A]\n\xff\n", "'utf-8' codec can't decode", False),
+}
+
+
+@pytest.mark.parametrize("case", IND_FILES)
+@pytest.mark.parametrize("command", ["check", "entail", "chase"])
+def test_dependency_file_corpus(capsys, tmp_path, case, command):
+    text, named, needs_schema = IND_FILES[case]
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_bytes(text)
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps(DB_DOC))
+    argv = {"check": ["check", str(db), str(sigma)],
+            "entail": ["entail", str(sigma), "R[A] <= S[B]"],
+            "chase": ["chase", "canonical:R[A] <= S[B]", str(sigma)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert "Traceback" not in err
+    if needs_schema and command != "check":
+        assert code in (0, 1)
+    else:
+        assert code == 2 and out == "" and err.startswith(f"error: {sigma}: {named}")
+
+
+@pytest.mark.parametrize("content,expected", [
+    ([1], "a monoid is a name or an operation table, not [1]"),
+    ("tropical", "unknown monoid 'tropical'"),
+    ({"elements": ["0"], "zero": "0", "op": {"0,0": "0"}, "extra": 1}, None),
+])
+def test_monoid_file_is_read_as_a_database_monoid_field(capsys, tmp_path, content, expected):
+    table = tmp_path / "monoid.json"
+    table.write_text(json.dumps(content))
+    code, out, err = run(capsys, "classify", str(table))
+    if expected is None:
+        assert code == 0 and json.loads(out)["monoid"] == "table"
+    else:
+        assert code == 2 and err == f"error: {table}: {expected}\n"
+
+
+@pytest.mark.parametrize("name", ["naturals", "boolean", "monogenic:2,3"])
+def test_a_monoid_file_may_name_a_builtin(capsys, tmp_path, name):
+    table = tmp_path / "monoid.json"
+    table.write_text(json.dumps(name))
+    code, out, _ = run(capsys, "classify", str(table))
+    assert code == 0 and out == run(capsys, "classify", name)[1]
+    assert json.loads(out)["monoid"] == name
+
+
+def test_oracle_config_errors_name_the_file(capsys, tmp_path):
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({**ORACLE, "tau": "S[B] <= R[A,A]"}))
+    code, _, err = run(capsys, "oracle", str(config))
+    assert code == 2 and err.startswith(f"error: {config}: attribute sequences differ")
+
+
+def test_entail_prints_its_proof_on_stderr_without_json(capsys, workspace):
+    code, out, err = run(capsys, "entail", str(workspace / "ws.txt"),
+                         "Grant[proj] <= Budget[proj]", "--monoid", "naturals")
+    assert code == 0 and json.loads(out)["entailed"]
+    assert err.startswith("Grant[proj] <= Budget[proj]   [weak_symmetry]\n")

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kindb.entail
@@ -26,7 +26,7 @@ from kindb.entail import (
 )
 from kindb.ind import infer_schema, parse_ind, satisfies
 from kindb.infer import DerivationProof, RuleSystem
-from kindb.kdb import is_balanced, load_database
+from kindb.kdb import is_balanced, load_database, schema_of
 from kindb.monoid import (
     BOOLEAN,
     MAX_NATURALS,
@@ -35,7 +35,11 @@ from kindb.monoid import (
     NaturalsMonoid,
     monogenic,
 )
-from kindb.oracle import brute_force_balanced_entails, brute_force_entails
+from kindb.oracle import (
+    CONSTRUCTION_ENUMERATION,
+    brute_force_balanced_entails,
+    brute_force_entails,
+)
 from test_acceptance import _fixture_tables
 
 MONO23 = monogenic(2, 3)
@@ -391,3 +395,65 @@ def test_dichotomy_reduces_to_naturals_or_boolean(data):
             assert db.monoid is m
             assert all(satisfies(db, s) for s in sigma) and not satisfies(db, tau)
             assert is_balanced(db) or not balanced
+
+
+WA_MONOIDS = [m for m in FIXED_MONOIDS if not m.classify().weakly_cancellative]
+
+
+def test_ca_countermodel_keeps_only_the_mentioned_relations():
+    sigma, tau = {parse_ind("R[A] <= S[B]")}, parse_ind("S[B] <= R[A]")
+    wide = schema_of({"R": ("A", "C"), "S": ("B",), "U": ("D",)})
+    cm = build_countermodel_ca(sigma, tau, BOOLEAN, [1, 1], schema=wide)
+    assert sorted(cm.database.relations) == ["R", "S"]
+    assert cm.database.schema.relations == {"R": ("A", "C"), "S": ("B",)}
+    assert cm.database == decide_entailment(sigma, tau, BOOLEAN, schema=wide).countermodel.database
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_constant_chain_gives_decide_entailments_countermodel_over_any_schema(data):
+    schema = data.draw(schemas(relations=3, arity=2))
+    wide = schema_of({**schema.relations, "W": ("W0",)})
+    sigma = set(data.draw(st.lists(dependencies(schema), max_size=3)))
+    tau = data.draw(dependencies(schema))
+    m = data.draw(st.one_of(st.sampled_from(WA_MONOIDS),
+                            st.builds(monogenic, st.integers(1, 6), st.integers(1, 6))))
+    verdict = decide_entailment(sigma, tau, m, schema=wide)
+    assume(not verdict.entailed)
+    chain = [m.nonzero_idempotent()] * (tau.arity + 1)
+    cm = build_countermodel_ca(sigma, tau, m, chain, schema=wide)
+    assert cm.database == verdict.countermodel.database
+    assert cm.construction == verdict.countermodel.construction == CONSTRUCTION_SA
+
+
+REFUTED = parse_ind("R[A] <= S[B]")
+# each construction, built with or without the balance stipulation
+CONSTRUCTIONS = {
+    CONSTRUCTION_WC_EMBED: lambda balanced: decide_entailment(
+        set(), REFUTED, NATURALS, balanced=balanced).countermodel,
+    CONSTRUCTION_SA: lambda balanced: decide_entailment(
+        set(), REFUTED, BOOLEAN, balanced=balanced).countermodel,
+    CONSTRUCTION_CA: lambda balanced: build_countermodel_ca(set(), REFUTED, MONO23, [3, 2]),
+    CONSTRUCTION_ENUMERATION: lambda balanced: (
+        brute_force_balanced_entails if balanced else brute_force_entails)(
+            set(), REFUTED, BOOLEAN, adom=["x", "y"], weight_pool=[1], max_tuples=1),
+}
+LIES = {"satisfies_all": lambda db, sigmas: [True for _ in sigmas],
+        "is_balanced": lambda db: False}
+LYING_CASES = ([("satisfies_all", c, False) for c in CONSTRUCTIONS]
+               + [(lie, c, True) for lie in LIES for c in CONSTRUCTIONS if c != CONSTRUCTION_CA])
+
+
+@pytest.mark.parametrize("lie,construction,balanced", LYING_CASES,
+                         ids=[f"{lie}-{c}-{'balanced' if b else 'any'}"
+                              for lie, c, b in LYING_CASES])
+def test_every_countermodel_is_certified_by_one_verifier(monkeypatch, lie, construction,
+                                                         balanced):
+    build = CONSTRUCTIONS[construction]
+    cm = build(balanced)
+    assert cm.construction == construction and (is_balanced(cm.database) or not balanced)
+    monkeypatch.setattr(kindb.entail, lie, LIES[lie])
+    with pytest.raises(CountermodelError,
+                       match=rf"^{construction} countermodel failed verification "
+                             r"for R\[A\] <= S\[B\]$"):
+        build(balanced)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -20,6 +21,7 @@ from kindb.ind import (
     inverse,
     parse_ind,
     parse_ind_list,
+    query_schema,
     satisfies,
     satisfies_all,
 )
@@ -221,3 +223,24 @@ def test_satisfies_all_matches_reference(data):
         satisfies(db, bad)
     with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
         satisfies_all(db, sigmas)
+
+
+QUERY_SIGMA = [parse_ind("S[C,B] <= R[A,B]"), parse_ind("S[B] <= T[D]")]
+QUERY_TAU = parse_ind("T[D] <= R[A]")
+
+
+def test_query_schema_is_one_schema_for_sigma_in_any_order():
+    orders = list(itertools.permutations(QUERY_SIGMA)) + [set(QUERY_SIGMA)]
+    # inferred from the dependencies as given, S's layout depends on their order
+    assert len({infer_schema([*order, QUERY_TAU]).relations["S"] for order in orders}) == 2
+    layouts = {tuple(query_schema(order, QUERY_TAU).relations.items()) for order in orders}
+    assert layouts == {(("R", ("A", "B")), ("S", ("B", "C")), ("T", ("D",)))}
+
+
+def test_query_schema_keeps_the_mentioned_relations_of_a_given_schema():
+    wide = schema_of({"U": ("F",), "T": ("D",), "S": ("C", "B"), "R": ("A", "B", "E")})
+    schema = query_schema(QUERY_SIGMA, QUERY_TAU, wide)
+    assert list(schema.relations.items()) == [("R", ("A", "B", "E")), ("S", ("C", "B")),
+                                              ("T", ("D",))]
+    with pytest.raises(UnknownRelation, match="unknown relation 'X'"):
+        query_schema(QUERY_SIGMA, parse_ind("X[A] <= R[A]"), wide)

@@ -331,3 +331,13 @@ def test_wide_arity_inverse_is_found_without_enumerating_selections():
     verdict = decide_entailment(sigma, reversed_tau, NATURALS)
     assert not verdict.entailed
     assert verdict.countermodel.construction == CONSTRUCTION_WC_EMBED
+
+
+def test_proof_json_gives_a_projections_indices():
+    sigma, tau = {parse_ind("R[A,B] <= S[C,D]")}, parse_ind("R[B] <= S[D]")
+    ok, proof = derives(sigma, tau, RuleSystem.STANDARD, infer_schema([*sigma, tau]))
+    assert ok
+    check_proof(proof, sigma)
+    assert proof_to_json(proof) == {
+        "rule": "project_permute", "conclusion": "R[B] <= S[D]", "indices": [1],
+        "premises": [{"rule": "axiom", "conclusion": "R[A,B] <= S[C,D]"}]}

@@ -1,4 +1,5 @@
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from kindb.errors import (
     SchemaMismatch,
     StarConstantError,
     UnknownAttribute,
+    UnknownRelation,
 )
 from kindb.kdb import (
     STAR,
@@ -387,3 +389,19 @@ def test_load_database_at_size_fails_like_the_reference_loader(m):
         assert outcome == _outcome(reference_load_database, doc), entry
         loaded += isinstance(outcome, KDatabase)
     assert loaded == (m.name not in ("boolean", "table"))  # the weight "2" is an element
+
+
+def test_relation_of_an_unknown_name():
+    db = load_database({"monoid": "naturals", "schema": {"R": ["A"]}, "relations": {}})
+    assert db.relation("R").weights == {}
+    with pytest.raises(UnknownRelation, match="unknown relation 'S'"):
+        db.relation("S")
+
+
+def test_rows_that_are_dict_subclasses_load_like_dicts():
+    rows = [{"tuple": {"A": "a"}, "weight": "2"}, {"tuple": {"A": "b"}, "weight": "3"}]
+    doc = {"monoid": "naturals", "schema": {"R": ["A"]}, "relations": {"R": rows}}
+    ordered = {**doc, "relations": {"R": [OrderedDict(tuple=OrderedDict(row["tuple"]),
+                                                      weight=row["weight"]) for row in rows]}}
+    assert load_database(ordered) == load_database(doc)
+    assert load_database(ordered).relation("R").weights == {("a",): 2, ("b",): 3}

@@ -434,3 +434,32 @@ def test_fig1_style_implication_chain():
         if r.countably_absorptive:
             assert r.weakly_absorptive
             assert r.k_absorptive_max == UNBOUNDED
+
+
+@pytest.mark.parametrize("spec", [[1], "naturals", None, 3])
+def test_a_monoid_table_is_an_object(spec):
+    with pytest.raises(ParseError, match="^a monoid table is a JSON object, not "):
+        table_from_dict(spec)
+
+
+def test_parse_monoid_passes_a_monoid_through():
+    table = TableMonoid(["0", "1"], {("0", "0"): "0", ("0", "1"): "1", ("1", "1"): "1"}, "0")
+    for m in (NATURALS, monogenic(2, 3), table):
+        assert parse_monoid(m) is m
+
+
+def test_carrier_and_arithmetic_errors():
+    for value in ("1", 1.0, -1):
+        with pytest.raises(ElementError, match="is not an element of naturals"):
+            NATURALS.check(value)
+    for m in (NATURALS, NONNEG_RATIONALS):
+        with pytest.raises(NotSubtractable, match="2 is not below 1"):
+            m.monus(1, 2)
+    for index, period in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidMonoidTable, match="index >= 1 and period >= 1"):
+            monogenic(index, period)
+    with pytest.raises(ElementError, match="multiplicity"):
+        embed_naturals(NATURALS, 1, -1)
+    trivial = TableMonoid(["0"], {("0", "0"): "0"}, "0")
+    with pytest.raises(UnsupportedMonoid, match="trivial"):
+        trivial.some_nonzero()
