@@ -9,12 +9,12 @@ Two variants:
   star-padded tuple.  It requires a weakly cancellative monoid with a total
   natural order (so the missing weight is a well-defined difference), may
   not terminate in general, but terminates whenever the dependency set is
-  closed under the standard rules plus weak symmetry.  Entailment chases by
-  the assumptions and their weak-symmetry reversals only (the members of
-  ``infer.DerivationGraph``), which have the closure's models.  For that list
-  no termination proof is written down: the step limit guards it, and a
-  differential test on random inputs checks that it terminates and agrees
-  with derivability.
+  closed under the standard rules plus weak symmetry.  Entailment chases a
+  refuted query by its assumptions and their weak-symmetry reversals (the
+  members of ``infer.DerivationGraph``), which have the closure's models.
+  For that list no termination proof is written down: the step limit guards
+  it, and a differential test on random inputs checks that it terminates and
+  agrees with derivability.
 
 Both grow a copy of the start and return it, and both record replayable
 traces.  The classical chase reads a queue of rows, seeded with the start's

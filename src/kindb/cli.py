@@ -174,7 +174,7 @@ ORACLE_FIELDS = {
 
 
 def _oracle_search(text: str):
-    """The search an oracle config asks for, ready to run."""
+    """The counterexample found by the search an oracle config asks for, or None."""
     config = parse_json(text)
     if not isinstance(config, dict):
         raise ParseError("oracle config must be a JSON object")
@@ -193,13 +193,13 @@ def _oracle_search(text: str):
         raise ElementError(f"weight_pool: {exc}") from None
     search = (brute_force_balanced_entails if config.get("balanced", False)
               else brute_force_entails)
-    return functools.partial(search, sigma, tau, m, adom=config["adom"], weight_pool=pool,
-                             max_tuples=config["max_tuples"],
-                             max_candidates=config.get("max_candidates", 2_000_000))
+    return search(sigma, tau, m, adom=config["adom"], weight_pool=pool,
+                  max_tuples=config["max_tuples"],
+                  max_candidates=config.get("max_candidates", 2_000_000))
 
 
 def cmd_oracle(args) -> int:
-    found = read_file(args.config, _oracle_search)()
+    found = read_file(args.config, _oracle_search)
     if found is None:
         print(_json_text({"counterexample": None}))
         return EXIT_YES

@@ -9,8 +9,10 @@ and the classical chase of the canonical start by the assumptions decides.
 Over balanced databases the balance axioms join either system, so the
 members of its ``DerivationGraph`` include the balance instances between
 the relations the input mentions; countermodels then come out balanced.
-Each positive answer carries a checked derivation, each negative answer a
-countermodel, re-verified before it is returned.  The constructions are:
+Each verdict has one certificate, checked once: an entailed answer its
+derivation, which ``derives`` passes through ``check_proof``, and a refuted
+one its countermodel, which ``verified`` re-checks; the canonical start is
+chased only to build that countermodel.  The constructions are:
 
 * ``plus_chase_embedding``: the additive chase result, each count n
   re-weighted to n*b for a nonzero b (weakly cancellative monoids);
@@ -127,10 +129,10 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     annotated in ``m`` (optionally restricted to balanced databases).
 
     Dispatch follows the monoid's property report.  One search for
-    ``tau`` in one ``DerivationGraph`` gives the verdict and the proof, and
-    one chase of the canonical start by the graph's members the
-    countermodel: additive when weakly cancellative, classical when weakly
-    absorptive.  The search and the chase must agree.
+    ``tau`` in one ``DerivationGraph`` gives the verdict and any proof.
+    Only a refuted query is chased, by the graph's members (additive when
+    weakly cancellative, classical when weakly absorptive); re-weighting
+    keeps ``tau``'s truth, so a missed derivation fails ``verified``.
     """
     sigma = set(sigma)
     schema = query_schema(sigma, tau, schema)
@@ -143,25 +145,18 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
 
     graph = DerivationGraph(sigma, system, schema)
     derivable, proof = graph.derives(tau)
+    if derivable:
+        return EntailmentVerdict(True, system, proof=proof)
+
     if wc:
         trace = plus_chase(canonical_start(tau, schema, NATURALS), graph.members, config)
         if not trace.terminated:
             raise ChaseBudgetExceeded(
                 "additive chase exceeded its budget on the assumptions and their reversals")
-        chased = trace.result
-    else:
-        chased = classical_chase(canonical_start(tau, schema, BOOLEAN), graph.members)[0]
-    if satisfies(chased, tau) != derivable:
-        raise CountermodelError(f"chase and derivability disagree on {format_ind(tau)}")
-
-    if derivable:
-        return EntailmentVerdict(True, system, proof=proof)
-
-    if wc:
         b = m.check(m.some_nonzero())
-        db = KDatabase(chased.schema, m, {
+        db = KDatabase(trace.result.schema, m, {
             rel: KRelation(kr.attributes, {row: m.times(b, n) for row, n in kr.weights.items()})
-            for rel, kr in chased.relations.items()})
+            for rel, kr in trace.result.relations.items()})
         cm = verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
     else:
         idem = m.nonzero_idempotent()
@@ -169,6 +164,7 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
             raise UnsupportedMonoid(
                 f"no countermodel construction applies to {m.name}: "
                 "it has no nonzero idempotent")
+        chased = classical_chase(canonical_start(tau, schema, BOOLEAN), graph.members)[0]
         cm = _stratified(chased, m, [idem] * (tau.arity + 1), sigma, tau, balanced)
     return EntailmentVerdict(False, system, countermodel=cm)
 

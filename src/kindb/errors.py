@@ -91,9 +91,9 @@ class InvalidConfig(KindbError):
 
 
 class ChaseBudgetExceeded(KindbError):
-    """The additive chase hit its step limit inside ``decide_entailment``.
-    No termination proof for the chased member list is written down, so the
-    limit guards it; the CLI exits 3 on this error."""
+    """The additive chase of a refuted query hit its step limit inside
+    ``decide_entailment``.  No termination proof for the chased member list
+    is written down, so the limit guards it; the CLI exits 3 on this error."""
 
 
 class NoCountermodel(KindbError):

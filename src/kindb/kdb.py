@@ -316,9 +316,12 @@ def _load_relation(rel: str, attrs: tuple[str, ...], rows: list, monoid: MonoidS
         shaped = False
     if not shaped:  # name the first malformed entry; dict subclasses pass
         for entry in rows:
-            mapping = entry.get("tuple") if isinstance(entry, dict) else None
-            if not isinstance(mapping, dict) or "weight" not in entry:
-                raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
+            fault = ("not an object" if not isinstance(entry, dict) else
+                     'no "tuple" key' if "tuple" not in entry else
+                     '"tuple" must be an object' if not isinstance(entry["tuple"], dict) else
+                     'no "weight" key' if "weight" not in entry else None)
+            if fault:
+                raise ParseError(f"malformed row entry in relation {rel} ({fault}): {entry!r}")
         mappings = [entry["tuple"] for entry in rows]
         texts = [str(entry["weight"]) for entry in rows]
     # exactly the attributes: as many keys, and each one read

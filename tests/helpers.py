@@ -303,9 +303,19 @@ def reference_load_database(obj, allow_star: bool = False) -> KDatabase:
         attrs = schema.attributes(rel)
         rel_weights = weights[rel] = {}
         for entry in rows:
-            mapping = entry.get("tuple") if isinstance(entry, dict) else None
-            if not isinstance(mapping, dict) or "weight" not in entry:
-                raise ParseError(f"malformed row entry in relation {rel}: {entry!r}")
+            if not isinstance(entry, dict):
+                fault = "not an object"
+            elif "tuple" not in entry:
+                fault = 'no "tuple" key'
+            elif not isinstance(entry["tuple"], dict):
+                fault = '"tuple" must be an object'
+            elif "weight" not in entry:
+                fault = 'no "weight" key'
+            else:
+                fault = None
+            if fault:
+                raise ParseError(f"malformed row entry in relation {rel} ({fault}): {entry!r}")
+            mapping = entry["tuple"]
             if mapping.keys() != set(attrs):
                 raise ParseError(
                     f"row for {rel} must assign exactly the attributes {list(attrs)}")

@@ -9,7 +9,7 @@ from kindb.chase import ChaseConfig, plus_chase, trace_to_json
 from kindb.cli import main
 from kindb.entail import decide_entailment
 from kindb.ind import format_ind, infer_schema, load_ind_file, parse_ind, satisfies
-from kindb.infer import RuleSystem, derives, proof_to_json
+from kindb.infer import DerivationProof, RuleSystem, check_proof, derives, proof_to_json
 from kindb.kdb import load_database, load_database_file, marginalize
 from kindb.monoid import BOOLEAN, parse_monoid
 from kindb.oracle import brute_force_entails
@@ -576,21 +576,22 @@ DB_FIELDS = {
     "schema": (("schema",), '"schema"'),
     "attribute list": (("schema", "R"), '"schema"'),
     "relations": (("relations",), '"relations"'),
-    "row entry": (ROW, "malformed row entry in relation R"),
-    "tuple": ((*ROW, "tuple"), "tuple"),
+    "row entry": (ROW, "malformed row entry in relation R (not an object)"),
+    "tuple": ((*ROW, "tuple"), 'malformed row entry in relation R ("tuple" must be an object)'),
     "cell": ((*ROW, "tuple", "A"), "R.A"),
     "weight": ((*ROW, "weight"), "R.weight"),
 }
 # an object where the tuple should be keeps the entry's shape, and its keys
 # are then not the relation's attributes
-DB_NAMED = {("tuple", "object"): "exactly the attributes ['A']"}
+DB_NAMED = {("tuple", "object"): "exactly the attributes ['A']",
+            ("row entry", "object"): 'malformed row entry in relation R (no "tuple" key)'}
 DB_VALID = {("cell", "number"), ("cell", "string"), ("weight", "number"), ("no", "relations")}
 DB_DROPS = {"monoid": (("monoid",), "missing 'monoid'"),
             "schema": (("schema",), "missing 'schema'"),
             "relations": (("relations",), ""),
             "attribute list": (("schema", "R"), "unknown relation 'R'"),
-            "tuple": ((*ROW, "tuple"), "malformed row entry in relation R"),
-            "weight": ((*ROW, "weight"), "malformed row entry in relation R"),
+            "tuple": ((*ROW, "tuple"), 'malformed row entry in relation R (no "tuple" key)'),
+            "weight": ((*ROW, "weight"), 'malformed row entry in relation R (no "weight" key)'),
             "cell": ((*ROW, "tuple", "A"), "exactly the attributes ['A']")}
 DB_VARIANTS = (
     [(f"{field}={kind}", _replaced(DB_DOC, path, value),
@@ -713,6 +714,44 @@ def test_oracle_config_errors_name_the_file(capsys, tmp_path):
     config.write_text(json.dumps({**ORACLE, "tau": "S[B] <= R[A,A]"}))
     code, _, err = run(capsys, "oracle", str(config))
     assert code == 2 and err.startswith(f"error: {config}: attribute sequences differ")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("adom", ["x", "*"], "adom must not hold the reserved constant '*'"),
+    ("max_candidates", 1, "the search space holds more than the cap of 1 candidate"),
+])
+def test_oracle_search_errors_name_the_file(capsys, tmp_path, field, value, message):
+    # errors the search raises from config fields name the file like the rest
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({**ORACLE, field: value}))
+    code, out, err = run(capsys, "oracle", str(config))
+    assert code == 2 and out == "" and err.startswith(f"error: {config}: {message}")
+
+
+def _proof_from_json(doc: dict) -> DerivationProof:
+    indices = doc.get("indices")
+    return DerivationProof(doc["rule"], parse_ind(doc["conclusion"]),
+                           tuple(_proof_from_json(p) for p in doc.get("premises", ())),
+                           None if indices is None else tuple(indices))
+
+
+def test_wide_entailed_query_needs_no_chase(capsys, tmp_path):
+    # a cyclic shift and a swap generate every permutation of R's 8 attributes;
+    # the reversal is entailed, and answered by its checked proof alone, so
+    # the additive chase that outruns its step budget here is never run
+    attrs = [f"A{i}" for i in range(8)]
+    lhs = f"R[{','.join(attrs)}]"
+    sigma = [parse_ind(f"{lhs} <= R[{','.join(attrs[1:] + attrs[:1])}]"),
+             parse_ind(f"{lhs} <= R[{','.join([attrs[1], attrs[0], *attrs[2:]])}]")]
+    (tmp_path / "sigma.txt").write_text("".join(f"{format_ind(s)}\n" for s in sigma))
+    tau = f"{lhs} <= R[{','.join(reversed(attrs))}]"
+    code, out, _ = run(capsys, "entail", str(tmp_path / "sigma.txt"), tau, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["entailed"] and doc["method"] == "plus_chase"
+    proof = _proof_from_json(doc["proof"])
+    assert proof.conclusion == parse_ind(tau)
+    check_proof(proof, sigma, RuleSystem("ws"))
 
 
 def test_entail_prints_its_proof_on_stderr_without_json(capsys, workspace):

@@ -15,6 +15,7 @@ from kindb.errors import (
     CountermodelError,
     InvalidChain,
     NoCountermodel,
+    ProofError,
     UnsupportedMonoid,
 )
 from kindb.entail import (
@@ -293,8 +294,9 @@ ONE_PASS_CASES = [
 @pytest.mark.parametrize("sigma,tau,m,balanced,entailed", ONE_PASS_CASES)
 def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, balanced,
                                                 entailed):
-    # one graph, searched once, decides; one chase by its members builds the
-    # countermodel; no closure is built
+    # one graph, searched once, decides; a refuted query is chased once by
+    # its members to build the countermodel, an entailed one not at all; no
+    # closure is built
     calls = {"graph": 0, "derives": 0, "saturate": 0, "chase": 0}
 
     def spy(owner, name, key):
@@ -314,28 +316,31 @@ def test_one_saturation_and_one_chase_per_query(monkeypatch, sigma, tau, m, bala
     spy(kindb.entail, "classical_chase", "chase")
     verdict = decide_entailment(sigma, tau, m, balanced=balanced)
     assert verdict.entailed == entailed
-    assert calls == {"graph": 1, "derives": 1, "saturate": 0, "chase": 1}
+    assert calls == {"graph": 1, "derives": 1, "saturate": 0, "chase": 0 if entailed else 1}
 
 
-def test_closure_and_chase_must_agree(monkeypatch):
+def test_every_verdict_is_certified(monkeypatch):
     real_derives = kindb.infer.derives
-    # the search misses a dependency that the chase derives by composition
+    # the search misses a dependency that the chase derives by composition:
+    # the chased countermodel satisfies it and fails verification
     sigma = {parse_ind("R[A] <= S[B]"), parse_ind("S[B] <= T[C]")}
     tau = parse_ind("R[A] <= T[C]")
     assert real_derives(sigma, tau, RuleSystem.STANDARD, infer_schema([*sigma, tau]))[0]
-    monkeypatch.setattr(kindb.infer.DerivationGraph, "derives", lambda *args: (False, None))
-    for m in (NATURALS, BOOLEAN):
-        with pytest.raises(CountermodelError, match="disagree"):
-            decide_entailment(sigma, tau, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(kindb.infer.DerivationGraph, "derives", lambda *args: (False, None))
+        for m in (NATURALS, BOOLEAN):
+            with pytest.raises(CountermodelError, match="failed verification"):
+                decide_entailment(sigma, tau, m)
 
-    # the search claims a dependency that the chase never derives
-    sigma = {parse_ind("R[A] <= S[B]")}
-    assert not real_derives(sigma, DICH_TAU, RuleSystem.STANDARD_WS,
-                            infer_schema([*sigma, DICH_TAU]))[0]
-    monkeypatch.setattr(kindb.infer.DerivationGraph, "derives",
-                        lambda *args: (True, DerivationProof("axiom", DICH_TAU)))
+    # the search reaches the query but builds a bogus proof of it, an axiom
+    # that is not an assumption: the proof check inside derives rejects it
+    sigma = {parse_ind("S[B] <= T[C]"), parse_ind("T[C] <= R[A]")}
+    assert real_derives(sigma, DICH_TAU, RuleSystem.STANDARD,
+                        infer_schema([*sigma, DICH_TAU]))[0]
+    monkeypatch.setattr(kindb.infer.DerivationGraph, "path_proof",
+                        lambda *args: DerivationProof("axiom", DICH_TAU))
     for m in (NATURALS, BOOLEAN):
-        with pytest.raises(CountermodelError, match="disagree"):
+        with pytest.raises(ProofError):
             decide_entailment(sigma, DICH_TAU, m)
 
 
