@@ -32,12 +32,14 @@ from .ind import format_ind, load_ind_file, parse_ind, query_schema, satisfies_a
 from .infer import RuleSystem, derives, proof_to_json, proof_to_text
 from .kdb import KDatabase, load_database_file, parse_json, read_file
 from .monoid import BOOLEAN, NATURALS, parse_monoid
-from .oracle import brute_force_balanced_entails, brute_force_entails
+from .oracle import MAX_CANDIDATES, brute_force_entails
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+
+STEP_ROWS = 40  # chase steps listed in plain-text output
 
 
 def _json_text(payload: dict) -> str:
@@ -70,16 +72,16 @@ def format_database(db: KDatabase) -> str:
     return "\n\n".join(blocks)
 
 
-def format_steps(trace, limit: int = 40) -> str:
-    """One row per chase step, in the order applied."""
+def format_steps(trace) -> str:
+    """One row per chase step, in the order applied, up to ``STEP_ROWS``."""
     m = trace.start.monoid
     rows = []
-    for step in trace.steps[:limit]:
+    for step in trace.steps[:STEP_ROWS]:
         delta = "" if step.delta is None else f" +{m.format_element(step.delta)}"
         rows.append(f"  {step.sigma.rhs_rel}({', '.join(step.incremented)}){delta}"
                     f"   by {format_ind(step.sigma)} at ({', '.join(step.witness)})")
-    if len(trace.steps) > limit:
-        rows.append(f"  ... {len(trace.steps) - limit} further steps")
+    if len(trace.steps) > STEP_ROWS:
+        rows.append(f"  ... {len(trace.steps) - STEP_ROWS} further steps")
     return "\n".join(rows)
 
 
@@ -152,10 +154,6 @@ def cmd_classify(args) -> int:
     return EXIT_YES
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -167,8 +165,6 @@ ORACLE_FIELDS = {
     "tau": (lambda v: isinstance(v, str), "a dependency string"),
     "adom": (_is_strings, "a list of constant names"),
     "weight_pool": (lambda v: isinstance(v, list), "a list of weights"),
-    "max_tuples": (_is_count, "a non-negative integer"),
-    "max_candidates": (_is_count, "a non-negative integer"),
     "balanced": (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -191,11 +187,10 @@ def _oracle_search(text: str):
         pool = [m.parse_element(str(w)) for w in config["weight_pool"]]
     except ElementError as exc:
         raise ElementError(f"weight_pool: {exc}") from None
-    search = (brute_force_balanced_entails if config.get("balanced", False)
-              else brute_force_entails)
-    return search(sigma, tau, m, adom=config["adom"], weight_pool=pool,
-                  max_tuples=config["max_tuples"],
-                  max_candidates=config.get("max_candidates", 2_000_000))
+    return brute_force_entails(sigma, tau, m, adom=config["adom"], weight_pool=pool,
+                               max_tuples=config["max_tuples"],
+                               max_candidates=config.get("max_candidates", MAX_CANDIDATES),
+                               balanced=config.get("balanced", False))
 
 
 def cmd_oracle(args) -> int:
@@ -226,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entail.add_argument("tau", help="query dependency text")
     p_entail.add_argument("--monoid", default="naturals")
     p_entail.add_argument("--balanced", action="store_true")
-    p_entail.add_argument("--step-limit", type=int, default=10_000)
+    p_entail.add_argument("--step-limit", type=int, default=ChaseConfig.step_limit)
     p_entail.add_argument("--system", choices=[system.value for system in RuleSystem],
                           help="decide pure derivability in this rule system instead")
     p_entail.add_argument("--json", action="store_true")
@@ -236,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chase.add_argument("start", help="database JSON file or canonical:<dependency>")
     p_chase.add_argument("sigma", help="dependency list file")
     p_chase.add_argument("--plus", action="store_true", help="run the additive chase")
-    p_chase.add_argument("--step-limit", type=int, default=10_000)
+    p_chase.add_argument("--step-limit", type=int, default=ChaseConfig.step_limit)
     p_chase.add_argument("--trace-out", help="write the JSON trace here")
     p_chase.add_argument("--json", action="store_true")
     p_chase.set_defaults(func=cmd_chase)

@@ -31,7 +31,7 @@ certifies each, and the falsifier's ``enumeration`` too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import (
@@ -60,7 +60,7 @@ CONSTRUCTION_CA = "ca_stratified"
 class Countermodel:
     database: KDatabase
     construction: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def to_json(self) -> dict:
         m = self.database.monoid
@@ -137,8 +137,9 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
     sigma = set(sigma)
     schema = query_schema(sigma, tau, schema)
     wc = m.classify().weakly_cancellative
+    idem = m.nonzero_idempotent()
     # a finite positive monoid is nontrivial iff it has a nonzero idempotent
-    if m.is_finite and m.nonzero_idempotent() is None:
+    if m.is_finite and idem is None:
         raise UnsupportedMonoid("entailment requires a non-trivial monoid")
 
     system = RuleSystem.of(wc, balanced)
@@ -158,12 +159,10 @@ def decide_entailment(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
             rel: KRelation(kr.attributes, {row: m.times(b, n) for row, n in kr.weights.items()})
             for rel, kr in trace.result.relations.items()})
         cm = verified(db, CONSTRUCTION_WC_EMBED, {"generator": b}, sigma, tau, balanced)
+    elif idem is None:
+        raise UnsupportedMonoid(
+            f"no countermodel construction applies to {m.name}: it has no nonzero idempotent")
     else:
-        idem = m.nonzero_idempotent()
-        if idem is None:
-            raise UnsupportedMonoid(
-                f"no countermodel construction applies to {m.name}: "
-                "it has no nonzero idempotent")
         chased = classical_chase(canonical_start(tau, schema, BOOLEAN), graph.members)[0]
         cm = _stratified(chased, m, [idem] * (tau.arity + 1), sigma, tau, balanced)
     return EntailmentVerdict(False, system, countermodel=cm)

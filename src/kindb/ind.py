@@ -29,7 +29,7 @@ _IND_RE = re.compile(
     r"^\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*<=\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class IND:
     lhs_rel: str
     lhs_attrs: tuple[str, ...]

@@ -331,7 +331,9 @@ def _load_relation(rel: str, attrs: tuple[str, ...], rows: list, monoid: MonoidS
     except KeyError:
         exact = False
     if not exact:
-        raise ParseError(f"row for {rel} must assign exactly the attributes {list(attrs)}")
+        keys = next(list(t) for t in mappings if t.keys() != set(attrs))
+        raise ParseError(f"row for {rel} must assign exactly the attributes {list(attrs)} "
+                         f'("tuple" assigns {keys})')
     if not all(_STR.issuperset(map(type, column)) for column in columns):
         columns = [[v if type(v) is str else _number_constant(rel, a, v) for v in column]
                    for a, column in zip(attrs, columns)]

@@ -266,19 +266,6 @@ class _Naturals(MonoidSpec):
             raise KindbError(f"a {self.name} weight is too large to print") from None
 
 
-class BooleanMonoid(_Naturals):
-    """({0,1}, or, 0)."""
-
-    name = "boolean"
-    size = 2
-
-    def add(self, a, b):
-        return a | b
-
-    def classify(self) -> PropertyReport:
-        return _IDEMPOTENT_REPORT
-
-
 class NaturalsMonoid(_Naturals):
     """(N, +, 0) with arbitrary precision."""
 
@@ -387,6 +374,13 @@ class MaxNaturalsMonoid(_Naturals):
         return 1
 
 
+class BooleanMonoid(MaxNaturalsMonoid):
+    """({0,1}, or, 0): max on {0,1}."""
+
+    name = "boolean"
+    size = 2
+
+
 class MonogenicMonoid(_Naturals):
     """The quotient of N generated by 1 under the congruence m0 = m0 + l.
 
@@ -433,8 +427,9 @@ class TableMonoid(MonoidSpec):
     cubic in the carrier size, so tables are capped at 64 elements.
     """
 
-    def __init__(self, elements: list[str], op: dict[tuple[str, str], str],
-                 zero: str, name: str = "table"):
+    name = "table"
+
+    def __init__(self, elements: list[str], op: dict[tuple[str, str], str], zero: str):
         if len(elements) != len(set(elements)):
             raise InvalidMonoidTable("duplicate element names")
         if len(elements) > MAX_TABLE_SIZE:
@@ -444,7 +439,6 @@ class TableMonoid(MonoidSpec):
             raise InvalidMonoidTable(f"zero element {zero!r} is not in the carrier")
         self._elements = tuple(elements)
         self._zero = zero
-        self.name = name
         table: dict[tuple[str, str], str] = {}
         for (a, b), c in op.items():
             for x in (a, b, c):
@@ -572,7 +566,7 @@ def monogenic(index: int, period: int) -> MonogenicMonoid:
     return MonogenicMonoid(index, period)
 
 
-def table_from_dict(spec: dict, name: str = "table") -> TableMonoid:
+def table_from_dict(spec: dict) -> TableMonoid:
     """Load a finite monoid from its JSON form.
 
     Expected shape: ``{"elements": [...], "zero": "0", "op": {"a,b": "c", ...}}``
@@ -596,7 +590,7 @@ def table_from_dict(spec: dict, name: str = "table") -> TableMonoid:
         if len(parts) != 2:
             raise ParseError(f"malformed op key {key!r}; expected 'a,b'")
         op[(parts[0], parts[1])] = value
-    return TableMonoid(elements, op, zero, name=name)
+    return TableMonoid(elements, op, zero)
 
 
 def parse_monoid(spec: Union[str, dict, MonoidSpec]) -> MonoidSpec:

@@ -1,11 +1,15 @@
 """Brute-force semantic falsifier for entailment claims.
 
-Enumerates annotated databases over a finite search space: rows drawn from a
-given active domain, at most ``max_tuples`` rows per relation, and weights
-from an explicit pool.  Returns the first database (in enumeration order)
-that satisfies the assumptions and violates the query, or None when the
-bounded space holds no counterexample.  A None answer refutes nothing
-outside the searched space; the oracle is a falsifier, not a decider.
+``brute_force_entails`` enumerates annotated databases over a finite search
+space: rows drawn from a given active domain, at most ``max_tuples`` rows
+per relation, and weights from an explicit pool; with ``balanced=True``,
+only databases whose relations have equal totals.  It returns the first
+database (in enumeration order) that satisfies the assumptions and violates
+the query, or None when the bounded space holds no counterexample.  A None
+answer refutes nothing outside the searched space; the oracle is a
+falsifier, not a decider.  ``max_tuples`` and ``max_candidates`` must be
+non-negative integers, and a space of more than ``max_candidates``
+databases is refused before it is built.
 
 Enumeration order is deterministic: per-relation supports ordered by size
 then lexicographically, weight assignments lexicographically over the sorted
@@ -53,6 +57,8 @@ from .kdb import STAR, KDatabase, KRelation, Schema
 from .monoid import Element, MonoidSpec
 
 CONSTRUCTION_ENUMERATION = "enumeration"
+
+MAX_CANDIDATES = 2_000_000
 
 
 def _support_choices(candidates: list[tuple], max_tuples: int) -> list[tuple]:
@@ -116,26 +122,13 @@ def _support_classes(rows: tuple, parent: dict, points: tuple, pool_size: int,
 def brute_force_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, *,
                         adom: Iterable[str], weight_pool: Iterable[Element],
                         max_tuples: int, schema: Optional[Schema] = None,
-                        max_candidates: int = 2_000_000) -> Optional[Countermodel]:
+                        max_candidates: int = MAX_CANDIDATES,
+                        balanced: bool = False) -> Optional[Countermodel]:
     """Search the bounded space for a database satisfying ``sigma`` and
-    violating ``tau``."""
-    return _search(sigma, tau, m, adom=adom, weight_pool=weight_pool,
-                   max_tuples=max_tuples, schema=schema,
-                   max_candidates=max_candidates, balanced=False)
-
-
-def brute_force_balanced_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, *,
-                                 adom: Iterable[str], weight_pool: Iterable[Element],
-                                 max_tuples: int, schema: Optional[Schema] = None,
-                                 max_candidates: int = 2_000_000) -> Optional[Countermodel]:
-    """As :func:`brute_force_entails`, restricted to balanced databases."""
-    return _search(sigma, tau, m, adom=adom, weight_pool=weight_pool,
-                   max_tuples=max_tuples, schema=schema,
-                   max_candidates=max_candidates, balanced=True)
-
-
-def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
-            max_candidates, balanced) -> Optional[Countermodel]:
+    violating ``tau``, among balanced databases only when ``balanced``."""
+    for name, bound in (("max_tuples", max_tuples), ("max_candidates", max_candidates)):
+        if type(bound) is not int or bound < 0:
+            raise ParseError(f"{name} must be a non-negative integer, got {bound!r}")
     if not isinstance(adom, str):
         adom = list(adom)
     if isinstance(adom, str) or not all(isinstance(c, str) for c in adom):
@@ -298,3 +291,9 @@ def _search(sigma, tau, m, *, adom, weight_pool, max_tuples, schema,
         rel: KRelation(schema.relations[rel], dict(zip(rows, (values[w] for w in least))))
         for rel, (_, rows, least) in zip(rels, picks)})
     return verified(db, CONSTRUCTION_ENUMERATION, {}, sigma, tau, balanced)
+
+
+def brute_force_balanced_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec,
+                                 **kwargs) -> Optional[Countermodel]:
+    """:func:`brute_force_entails` with ``balanced=True``."""
+    return brute_force_entails(sigma, tau, m, balanced=True, **kwargs)

@@ -318,7 +318,8 @@ def reference_load_database(obj, allow_star: bool = False) -> KDatabase:
             mapping = entry["tuple"]
             if mapping.keys() != set(attrs):
                 raise ParseError(
-                    f"row for {rel} must assign exactly the attributes {list(attrs)}")
+                    f"row for {rel} must assign exactly the attributes {list(attrs)} "
+                    f'("tuple" assigns {list(mapping)})')
             row = []
             for a in attrs:
                 v = mapping[a]

@@ -100,7 +100,9 @@ def test_check_malformed_document_shape(capsys, tmp_path, doc, field):
     ({"tuple": {"A": "*"}, "weight": "1"}, "the constant '*' is reserved"),
     ({"tuple": {"B": "a"}, "weight": "1"}, "row for R must assign exactly the attributes"),
     ({"tuple": {"A": "a"}}, "malformed row entry in relation R"),
-], ids=["weight", "star", "attributes", "entry"])
+    ({"tuple": {"A": "a", "B": "b"}, "weight": "1"},
+     """row for R must assign exactly the attributes ['A'] ("tuple" assigns ['A', 'B'])"""),
+], ids=["weight", "star", "attributes", "entry", "assigned keys"])
 def test_check_names_the_database_file_in_loader_errors(capsys, tmp_path, entry, message):
     db = tmp_path / "db.json"
     db.write_text(json.dumps({"monoid": "naturals", "schema": {"R": ["A"]},

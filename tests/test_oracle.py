@@ -105,6 +105,18 @@ def test_adom_must_be_constant_names(adom):
             search(SIGMA, TAU, NATURALS, adom=adom, weight_pool=[1], max_tuples=1)
 
 
+@pytest.mark.parametrize("bound,value", [
+    ("max_tuples", -1), ("max_tuples", 1.5), ("max_tuples", True), ("max_tuples", "2"),
+    ("max_candidates", -1), ("max_candidates", False), ("max_candidates", "5"),
+])
+def test_search_bounds_must_be_counts(bound, value):
+    # a negative bound would search an empty space and find nothing
+    for search in (brute_force_entails, brute_force_balanced_entails):
+        with pytest.raises(ParseError, match=bound):
+            search(SIGMA, TAU, BOOLEAN, adom=["x", "y"], weight_pool=[1],
+                   **{"max_tuples": 4, bound: value})
+
+
 def test_cap_is_checked_before_any_weighting_is_built(monkeypatch):
     adds = []
     monkeypatch.setattr(NATURALS, "add", lambda a, b: adds.append((a, b)))
