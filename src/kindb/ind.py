@@ -27,6 +27,7 @@ from .kdb import KDatabase, Schema, marginals, read_file, schema_of
 
 _IND_RE = re.compile(
     r"^\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*<=\s*(\w+)\s*\[\s*([^\[\]]*?)\s*\]\s*$")
+_ATTRS_RE = re.compile(r"\w+(?:\s*,\s*\w+)*")  # a list that ``_IND_RE`` has stripped
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,9 @@ ind_sort_key = format_ind  # the canonical order of dependencies
 def _split_attrs(text: str, rel: str) -> tuple[str, ...]:
     if not text.strip():
         return ()
-    parts = [p.strip() for p in text.split(",")]
-    if any(not re.fullmatch(r"\w+", p) for p in parts):
+    if not _ATTRS_RE.fullmatch(text):
         raise ParseError(f"malformed attribute list {text!r} for relation {rel}")
-    return tuple(parts)
+    return tuple(p.strip() for p in text.split(","))
 
 
 def parse_ind(text: str, schema: Optional[Schema] = None) -> IND:

@@ -18,7 +18,7 @@ path of transitivity steps over dependency sides R[X], from the query's left
 side to its right one (the derivation sequences of Casanova, Fagin and
 Papadimitriou, JCSS 28(1), 1984).  There is one kind of edge: a member
 R[A] <= S[B] of one ordered list with X within A gives R[X] -> S[Y], Y at the
-positions of X in A, found when a search first reaches R[X].  The members are
+positions of X in A, found each time a search expands R[X].  The members are
 the assumptions in canonical order, under the balance axioms the arity-0
 balance instances, and under weak symmetry the inverse of each
 positive-arity assumption T[C] <= R[D] when R[] reaches T[] at arity 0 (when
@@ -29,11 +29,12 @@ connected component of the arity-0 graph, each edge on the path can be
 reversed, and the reversed path derives Y <= X.  A reversal gives no arity-0
 edge, so it cannot change the reachability that admits it.
 
-An edge records only its member and index selection.  Proofs are built only
-along the path ``DerivationGraph.derives`` finds, each edge's rule read off
-its member: an axiom or its projection for an assumption, a balance leaf for
-another arity-0 member, and for a reversal weak symmetry over the forward
-edge's proof and the arity-0 path proof of its premise.  The edges are
+A search records each edge it keeps once, in the parent link of the side it
+reaches: its member and index selection.  Proofs are built only along the
+path ``DerivationGraph.derives`` finds, each edge's rule read off its member:
+an axiom or its projection for an assumption, a balance leaf for another
+arity-0 member, and for a reversal weak symmetry over the forward edge's
+proof and the arity-0 path proof of its premise.  The edges are
 composed pairwise, so a proof's depth is logarithmic in the path's length,
 and each proof is checked against the graph's own rule system.
 ``saturate`` searches from each selection of each member's left side and
@@ -140,15 +141,15 @@ def weak_symmetry(sigma: IND, empty_ind: IND) -> IND:
 
 Node = tuple[str, tuple[str, ...]]  # a dependency side R[X]
 EdgeTag = tuple[IND, tuple[int, ...]]  # how an edge is derived: (member, selection)
+Link = tuple[Node, EdgeTag]  # a side's parent on a search path and the edge from it
 
 
-class DerivationGraph(dict[Node, dict[Node, EdgeTag]]):
-    """The edges of a rule system over the assumptions, keyed by the side
-    they leave.  Each is an index selection of one of ``members``, and a
-    side's edges are found when it is first looked up."""
+class DerivationGraph:
+    """The edges of a rule system over the assumptions.  Each is an index
+    selection of one of ``members``, found when a search expands the side it
+    leaves."""
 
     def __init__(self, sigma: Iterable[IND], system: RuleSystem, schema: Schema):
-        super().__init__()
         self.system, self.schema, self.sigma = system, schema, set(sigma)
         self.members = sorted(self.sigma, key=ind_sort_key)
         for member in self.members:
@@ -156,34 +157,28 @@ class DerivationGraph(dict[Node, dict[Node, EdgeTag]]):
         if system.has_balance:
             self.members += [IND(lhs, (), rhs, ()) for lhs, rhs
                              in itertools.permutations(sorted(schema.relations), 2)]
-        if system.has_weak_symmetry:  # a search reaches its source: R[] <= R[] when R = S
-            self.members += [inverse(s) for s in self.members[:len(self.sigma)]
-                             if s.arity and (s.lhs_rel, ()) in self.search((s.rhs_rel, ()))]
+        if system.has_weak_symmetry:  # under balance every R[] reaches every T[]
+            self.members += [inverse(s) for s in self.members[:len(self.sigma)] if s.arity and (
+                system.has_balance or (s.lhs_rel, ()) in self.search((s.rhs_rel, ())))]
 
-    def __missing__(self, node: Node) -> dict[Node, EdgeTag]:
-        """The edges out of ``node``, one per member whose left side covers
-        it, the first member winning; a reversal gives none at arity 0."""
-        out = self[node] = {}
-        rel, attrs = node
-        for member in self.members:
-            if member.lhs_rel == rel and set(attrs).issubset(member.lhs_attrs) and (
-                    attrs or not member.arity or member in self.sigma):
-                selection = tuple(member.lhs_attrs.index(a) for a in attrs)
-                succ = (member.rhs_rel, tuple(member.rhs_attrs[i] for i in selection))
-                if succ != node:
-                    out.setdefault(succ, (member, selection))
-        return out
-
-    def search(self, source: Node) -> dict[Node, Optional[Node]]:
-        """Breadth-first search: each node reachable from ``source`` (itself
-        included) mapped to its parent on a shortest path, the source to None."""
-        parents: dict[Node, Optional[Node]] = {source: None}
+    def search(self, source: Node) -> dict[Node, Optional[Link]]:
+        """Breadth-first search: each side reachable from ``source`` (itself
+        included) mapped to its link on a shortest path, the source to None.
+        A side's edges come from the members whose left side covers it, in
+        order, and the first to reach a side is kept; a reversal gives none
+        at arity 0."""
+        parents: dict[Node, Optional[Link]] = {source: None}
         queue = [source]
         for node in queue:  # the queue grows as it is read
-            for succ in self[node]:
-                if succ not in parents:
-                    parents[succ] = node
-                    queue.append(succ)
+            rel, attrs = node
+            for member in self.members:
+                if member.lhs_rel == rel and set(attrs).issubset(member.lhs_attrs) and (
+                        attrs or not member.arity or member in self.sigma):
+                    selection = tuple(member.lhs_attrs.index(a) for a in attrs)
+                    succ = (member.rhs_rel, tuple(member.rhs_attrs[i] for i in selection))
+                    if succ not in parents:
+                        parents[succ] = node, (member, selection)
+                        queue.append(succ)
         return parents
 
     def _edge_proof(self, lhs: Node, rhs: Node, tag: EdgeTag) -> DerivationProof:
@@ -212,14 +207,14 @@ class DerivationGraph(dict[Node, dict[Node, EdgeTag]]):
         check_proof(proof, self.sigma, self.system)
         return True, proof
 
-    def path_proof(self, parents: dict[Node, Optional[Node]],
-                   target: Node) -> DerivationProof:
+    def path_proof(self, parents: dict[Node, Optional[Link]], target: Node) -> DerivationProof:
         """The proof of source <= ``target`` along a search's parent links
         (the reflexivity leaf when ``target`` is the source), its edges
         composed pairwise so that its depth is logarithmic in its length."""
         steps = []
-        while (lhs := parents[target]) is not None:
-            steps.append(self._edge_proof(lhs, target, self[lhs][target]))
+        while (link := parents[target]) is not None:
+            lhs, tag = link
+            steps.append(self._edge_proof(lhs, target, tag))
             target = lhs
         steps = steps[::-1] or [DerivationProof(RULE_REFLEXIVITY, IND(*target, *target))]
         while len(steps) > 1:

@@ -18,7 +18,10 @@ from kindb.ind import IND, format_ind, infer_schema, parse_ind
 from kindb.infer import (
     RULE_AXIOM,
     RULE_BALANCE,
+    RULE_REFLEXIVITY,
+    RULE_TRANSITIVITY,
     RULE_WEAK_SYMMETRY,
+    DerivationGraph,
     DerivationProof,
     RuleSystem,
     check_proof,
@@ -279,6 +282,77 @@ def test_search_matches_reference_closure(data):
         ok, proof = derives(sigma, tau, system, schema)
         assert ok == (tau.is_reflexive or tau in closed)
         assert proof is None if not ok else proof.conclusion == tau
+
+
+def test_first_member_in_canonical_order_gives_the_edge():
+    # both assumptions give the edge R[A] -> S[C]; the projection of the
+    # first in canonical order is kept, not the second assumption itself
+    sigma = {parse_ind("R[A] <= S[C]"), parse_ind("R[A,B] <= S[C,D]")}
+    tau = parse_ind("R[A] <= S[C]")
+    ok, proof = derives(sigma, tau, RuleSystem.STANDARD, infer_schema(sorted(sigma, key=str)))
+    assert ok
+    assert proof_to_json(proof) == {
+        "rule": "project_permute", "conclusion": "R[A] <= S[C]", "indices": [0],
+        "premises": [{"rule": "axiom", "conclusion": "R[A,B] <= S[C,D]"}]}
+
+
+def path_length(proof):
+    """The number of edges a path proof composes."""
+    if proof.rule == RULE_TRANSITIVITY:
+        return sum(path_length(p) for p in proof.premises)
+    return 0 if proof.rule == RULE_REFLEXIVITY else 1
+
+
+def distances(sigma, source):
+    """Each side the standard rules reach from ``source``, by its number of
+    edges on a shortest path: breadth-first over every index selection of
+    every assumption."""
+    dist, frontier = {source: 0}, [source]
+    while frontier:
+        reached = []
+        for rel, attrs in frontier:
+            for s in sigma:
+                if s.lhs_rel == rel and set(attrs) <= set(s.lhs_attrs):
+                    succ = (s.rhs_rel, tuple(s.rhs_attrs[s.lhs_attrs.index(a)] for a in attrs))
+                    if succ not in dist:
+                        dist[succ] = dist[rel, attrs] + 1
+                        reached.append(succ)
+        frontier = reached
+    return dist
+
+
+def assert_paths_shortest(sigma, schema):
+    for fact in saturate(sigma, RuleSystem.STANDARD, schema):
+        ok, proof = derives(sigma, fact, RuleSystem.STANDARD, schema)
+        assert ok
+        dist = distances(sigma, (fact.lhs_rel, fact.lhs_attrs))
+        assert path_length(proof) == dist[fact.rhs_rel, fact.rhs_attrs]
+
+
+def test_search_finds_a_shortest_path():
+    # R[A] reaches V[A] in two edges through S; a search that expands T[A]
+    # before S[A] reaches it in three
+    sigma = {parse_ind(t) for t in ("R[A] <= S[A]", "R[A] <= T[A]", "T[A] <= U[A]",
+                                    "U[A] <= V[A]", "S[A] <= V[A]")}
+    assert_paths_shortest(sigma, infer_schema(sorted(sigma, key=str)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_search_finds_a_shortest_path_on_random_input(data):
+    schema = data.draw(schemas())
+    assert_paths_shortest(set(data.draw(st.lists(dependencies(schema), max_size=6))), schema)
+
+
+def test_one_graph_searched_again_gives_the_same_proofs():
+    sigma = {parse_ind("R[A,B] <= S[C,D]"), parse_ind("S[C] <= T[E]"), parse_ind("S[] <= R[]")}
+    schema = infer_schema(sorted(sigma, key=str))
+    taus = [parse_ind(t) for t in ("S[D,C] <= R[B,A]", "R[A] <= T[E]", "S[C] <= R[A]")]
+    graph = DerivationGraph(sigma, RuleSystem.STANDARD_WS, schema)
+    for tau in taus + taus[::-1]:
+        fresh = DerivationGraph(sigma, RuleSystem.STANDARD_WS, schema).derives(tau)
+        assert graph.derives(tau) == fresh and fresh[0]
+    assert graph.derives(taus[0])[1].rule == RULE_WEAK_SYMMETRY
 
 
 def chain(k, n):
