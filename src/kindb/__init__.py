@@ -71,7 +71,6 @@ from .monoid import (
     MonoidSpec,
     PropertyReport,
     embed_naturals,
-    monogenic,
     parse_monoid,
     table_from_dict,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "load_ind_file",
     "make_database",
     "marginalize",
-    "monogenic",
     "parse_ind",
     "parse_ind_list",
     "parse_monoid",

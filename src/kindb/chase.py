@@ -26,9 +26,11 @@ marginal in sorted order.  Elsewhere the left side weighs zero, so no step
 applies there.  A step equalizes the marginals at its witness; a point it
 adds to a dependency's own left marginal is still visited in the same pass
 when it sorts after the witness.  The chase stops after a pass with no step.
-The result of a terminating chase depends on this order.  Each marginal the
-dependencies read is computed once per chase and updated after each step,
-instead of being recomputed on every pass.
+The result of a terminating chase depends on this order.  One
+``kdb.marginals`` plan per chase makes each side the dependencies read and
+gives the own layout of each relation a step grows, which is the relation's
+weights; a step adds its delta to every marginal of the relation it grows,
+that one included, so no pass recomputes a marginal.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable, Optional
 
 from .errors import InvalidConfig, MonoidMismatch, UnsupportedMonoid
 from .ind import IND, format_ind, ind_sort_key, validate_ind
-from .kdb import STAR, KDatabase, KRelation, Row, Schema, dump_database, make_database, marginalize
+from .kdb import STAR, KDatabase, Row, Schema, dump_database, make_database, marginals
 from .monoid import BOOLEAN, Element, MonoidSpec
 
 KIND_RULE_STAR = "rule_star"
@@ -110,31 +112,30 @@ def plus_chase(db: KDatabase, sigma: Iterable[IND],
         validate_ind(s, db.schema)
     result = db.copy()
     steps: list[ChaseStep] = []
-    outcome = _plus_passes(result.relations, inds, m, cfg.step_limit, steps)
+    outcome = _plus_passes(result, inds, cfg.step_limit, steps)
     return ChaseTrace(db.copy(), steps, outcome, result)
 
 
-def _plus_passes(work: dict[str, KRelation], inds: list[IND], m: MonoidSpec,
-                 step_limit: int, steps: list[ChaseStep]) -> str:
+def _plus_passes(work: KDatabase, inds: list[IND], step_limit: int,
+                 steps: list[ChaseStep]) -> str:
     """Apply additive steps to ``work`` in place, appending them to ``steps``;
     return the outcome."""
-    zero = m.zero
-    # each (relation, attributes) side's marginal, with its positions in the
-    # relation's rows, kept up to date by every step; kept[rel] lists those
-    # of one relation
-    marginals, kept = {}, {}
-    for rel, attrs in dict.fromkeys(side for s in inds for side in (
-            (s.lhs_rel, s.lhs_attrs), (s.rhs_rel, s.rhs_attrs))):
-        layout = work[rel].attributes
-        marginals[rel, attrs] = (tuple(map(layout.index, attrs)),
-                                 marginalize(work[rel], attrs, m).weights)
-        kept.setdefault(rel, []).append(marginals[rel, attrs])
+    m, schema, zero = work.monoid, work.schema, work.monoid.zero
+    # every side the dependencies read and the own layout (the weights) of
+    # each relation a step grows; a step adds its delta to each marginal in
+    # kept[rel], the grown relation's marginals with their row positions
+    grown = {s.rhs_rel: schema.attributes(s.rhs_rel) for s in inds}
+    planned = marginals(work, [side for s in inds for side in (
+        (s.lhs_rel, s.lhs_attrs), (s.rhs_rel, s.rhs_attrs))] + list(grown.items()))
+    positions = {(rel, attrs): tuple(map(grown[rel].index, attrs))
+                 for rel, attrs in planned if rel in grown}
+    kept: dict[str, list] = {rel: [] for rel in grown}
+    for side, pos in positions.items():
+        kept[side[0]].append((pos, planned[side]))
     while True:
         before = len(steps)
         for s in inds:
-            lhs_pos, lhs = marginals[s.lhs_rel, s.lhs_attrs]
-            rhs = marginals[s.rhs_rel, s.rhs_attrs][1]
-            target_rel = work[s.rhs_rel]
+            lhs, rhs = planned[s.lhs_rel, s.lhs_attrs], planned[s.rhs_rel, s.rhs_attrs]
             points = sorted(lhs)
             for witness in points:  # insort below only adds points after this one
                 have = rhs.get(witness, zero)
@@ -143,15 +144,14 @@ def _plus_passes(work: dict[str, KRelation], inds: list[IND], m: MonoidSpec,
                 if len(steps) >= step_limit:
                     return OUTCOME_STEP_LIMIT
                 delta = m.monus(lhs[witness], have)
-                target = star_padded(target_rel.attributes, s.rhs_attrs, witness)
-                target_rel.weights[target] = m.add(target_rel.weights.get(target, zero), delta)
+                target = star_padded(grown[s.rhs_rel], s.rhs_attrs, witness)
                 steps.append(ChaseStep(KIND_PLUS_RULE, s, witness, target, delta))
                 if s.lhs_rel == s.rhs_rel:
-                    point = tuple([target[p] for p in lhs_pos])
+                    point = tuple([target[p] for p in positions[s.lhs_rel, s.lhs_attrs]])
                     if point > witness and point not in lhs:
                         bisect.insort(points, point)
-                for positions, marginal in kept[s.rhs_rel]:
-                    point = tuple([target[p] for p in positions])
+                for pos, marginal in kept[s.rhs_rel]:
+                    point = tuple([target[p] for p in pos])
                     marginal[point] = m.add(marginal.get(point, zero), delta)
         if len(steps) == before:
             return OUTCOME_TERMINATED

@@ -22,7 +22,9 @@ positions of X in A, found each time a search expands R[X].  The members are
 the assumptions in canonical order, under the balance axioms the arity-0
 balance instances, and under weak symmetry the inverse of each
 positive-arity assumption T[C] <= R[D] when R[] reaches T[] at arity 0 (when
-R = T, the premise is the reflexivity instance R[] <= R[]).  Reversing
+R = T, the premise is the reflexivity instance R[] <= R[]).  One arity-0
+search from each such R[] admits every assumption into R; under balance
+every R[] reaches every T[], so none is made.  Reversing
 assumptions is enough: weak symmetry on a derived X <= Y needs
 Y.rel[] <= X.rel[], so every relation on the path lies in one strongly
 connected component of the arity-0 graph, each edge on the path can be
@@ -158,8 +160,11 @@ class DerivationGraph:
             self.members += [IND(lhs, (), rhs, ()) for lhs, rhs
                              in itertools.permutations(sorted(schema.relations), 2)]
         if system.has_weak_symmetry:  # under balance every R[] reaches every T[]
-            self.members += [inverse(s) for s in self.members[:len(self.sigma)] if s.arity and (
-                system.has_balance or (s.lhs_rel, ()) in self.search((s.rhs_rel, ())))]
+            forward = [s for s in self.members[:len(self.sigma)] if s.arity]
+            if not system.has_balance:  # one arity-0 search per right relation
+                reach = {rel: self.search((rel, ())) for rel in {s.rhs_rel for s in forward}}
+                forward = [s for s in forward if (s.lhs_rel, ()) in reach[s.rhs_rel]]
+            self.members += [inverse(s) for s in forward]
 
     def search(self, source: Node) -> dict[Node, Optional[Link]]:
         """Breadth-first search: each side reachable from ``source`` (itself

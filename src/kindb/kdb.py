@@ -28,9 +28,10 @@ A marginal groups the rows by their values on the queried attributes and
 sums each group with one ``add_all`` of its carrier; over the rationals that
 sum is taken over the group's least common denominator and normalized once.
 ``marginals`` plans the marginals a list of sides needs: a side in its
-relation's own layout is the relation's weights, read in place; the others
-are made widest first, each from the smallest marginal of its relation made
-so far that covers it.  By commutativity and associativity the marginal over
+relation's own layout is the relation's weights, which the additive chase
+writes through to grow the relation and every other caller only reads; the
+others are made widest first, each from the smallest marginal of its
+relation made so far that covers it.  By commutativity and associativity the marginal over
 Z of a marginal over X ⊇ Z is the marginal over Z (a data cube's roll-up).
 
 Every file kindb reads, databases, dependency lists, monoid tables and
@@ -132,15 +133,6 @@ class KDatabase:
             {r: KRelation(kr.attributes, dict(kr.weights)) for r, kr in self.relations.items()},
         )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, KDatabase)
-            and self.schema == other.schema
-            and self.monoid == other.monoid
-            and {r: kr.weights for r, kr in self.relations.items()}
-            == {r: kr.weights for r, kr in other.relations.items()}
-        )
-
 
 def make_database(schema: Schema, monoid: MonoidSpec,
                   weights: Mapping[str, Mapping[Row, Element]] | None = None) -> KDatabase:
@@ -204,7 +196,8 @@ def marginals(db: KDatabase, sides: Iterable[tuple[str, tuple[str, ...]]]
     """The weights of each distinct side's marginal, each made once.
 
     A side in its relation's own layout is the relation's ``weights`` dict
-    itself, neither copied nor grouped, so callers only read the result.
+    itself, neither copied nor grouped: the additive chase writes through it
+    to grow the relation, and every other caller only reads the result.
     The other sides are made widest first, each by one ``marginalize`` of the
     smallest marginal of its relation made so far whose attributes cover it,
     or of the relation when none does.

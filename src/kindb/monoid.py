@@ -562,10 +562,6 @@ _BUILTINS = {
 }
 
 
-def monogenic(index: int, period: int) -> MonogenicMonoid:
-    return MonogenicMonoid(index, period)
-
-
 def table_from_dict(spec: dict) -> TableMonoid:
     """Load a finite monoid from its JSON form.
 

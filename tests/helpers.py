@@ -37,12 +37,12 @@ from kindb.monoid import (
     NATURALS,
     NONNEG_RATIONALS,
     UNBOUNDED,
+    MonogenicMonoid,
     MonoidSpec,
-    monogenic,
     parse_monoid,
 )
 
-MONO23 = monogenic(2, 3)
+MONO23 = MonogenicMonoid(2, 3)
 
 BUILTIN_MONOIDS = [BOOLEAN, NATURALS, NONNEG_RATIONALS, MAX_NATURALS, MONO23]
 

@@ -43,10 +43,10 @@ from kindb.monoid import (
     MAX_NATURALS,
     NATURALS,
     NONNEG_RATIONALS,
+    MonogenicMonoid,
     TableMonoid,
     UNBOUNDED,
     embed_naturals,
-    monogenic,
 )
 from kindb.oracle import brute_force_entails
 
@@ -302,7 +302,7 @@ def _fixture_tables():
                            {("0", "0"): "0", ("0", "1"): "1", ("1", "1"): "1"}, "0"))]
     for index in (1, 2, 3):
         for period in (1, 2, 3):
-            tables.append((f"monogenic-{index}-{period}", monogenic(index, period)))
+            tables.append((f"monogenic-{index}-{period}", MonogenicMonoid(index, period)))
     for top in (1, 2, 3, 4):
         els = [str(i) for i in range(top + 1)]
         op = {(a, b): str(min(int(a) + int(b), top)) for a in els for b in els}

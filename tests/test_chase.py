@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,8 @@ from kindb.kdb import (
 from kindb.monoid import BOOLEAN, NATURALS, NONNEG_RATIONALS
 
 R3 = schema_of({"R": ("A", "B", "C")})
+R2 = schema_of({"R": ("A", "B")})
+RS = schema_of({"R": ("A", "B"), "S": ("D", "E", "F")})
 LOOP = parse_ind("R[B,C] <= R[A,B]")
 LOOP_BACK = parse_ind("R[A,B] <= R[B,C]")
 
@@ -289,6 +292,13 @@ def chase_inputs(draw):
 # the first step, at (a, b), adds 2 to R[B,C] at (b, *), which comes later
 @example((make_database(R3, NATURALS, {"R": {(STAR, "a", "b"): 2, (STAR, "b", STAR): 1}}),
           [LOOP], 2))
+# the left side R[A,B] is R's own layout, read in place while the steps grow R
+@example((make_database(R2, NONNEG_RATIONALS, {"R": {("a", "b"): Fraction(3, 2),
+                                                     ("b", "a"): Fraction(1, 2)}}),
+          [parse_ind("R[A,B] <= R[B,A]")], 200))
+# S[D] is rolled up from S[D,E] as the steps grow S, and R grows by S[D] <= R[A]
+@example((make_database(RS, NATURALS, {"R": {("a", "b"): 2}, "S": {("a", "x", "y"): 3}}),
+          [parse_ind("R[A,B] <= S[D,E]"), parse_ind("S[D] <= R[A]")], 50))
 def test_plus_chase_matches_reference_round_robin(inputs):
     db, sigma, step_limit = inputs
     trace = plus_chase(db, sigma, ChaseConfig(step_limit=step_limit))
@@ -421,9 +431,6 @@ def _left_point_sides(db, trace):
     return sides
 
 
-R2 = schema_of({"R": ("A", "B")})
-
-
 # "!" sorts before the star and letters after it, so the added point (*) or
 # (y, x) falls on either side of its witness
 @pytest.mark.parametrize("sigma,rows", [
@@ -448,15 +455,16 @@ def test_plus_chase_self_loops_match_reference(sigma, rows):
 ], ids=["loop", "two-relations"])
 def test_plus_chase_computes_each_marginal_once(monkeypatch, sigma, step_limit):
     """However many passes the chase makes, it marginalizes each (relation,
-    attributes) side of its dependencies once and keeps it up to date."""
+    attributes) side of its dependencies at most once and keeps it up to
+    date; a side in its relation's own layout is the relation, never made."""
     schema = schema_of({"R": ("A", "B", "C"), "S": ("D", "E")})
     calls = []
 
     def counted(rel, attrs, m):
-        calls.append((rel, tuple(attrs)))
-        return marginalize(rel, attrs, m)
+        calls.append((rel, tuple(attrs), marginalize(rel, attrs, m)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(kindb.chase, "marginalize", counted)
+    monkeypatch.setattr(kindb.kdb, "marginalize", counted)
     trace = plus_chase(canonical_start(LOOP, schema, NATURALS), sigma,
                        ChaseConfig(step_limit=step_limit))
     # a pass visits the dependencies in order and each one's witnesses in
@@ -464,6 +472,11 @@ def test_plus_chase_computes_each_marginal_once(monkeypatch, sigma, step_limit):
     order = sorted(set(sigma), key=ind_sort_key)
     visits = [(order.index(step.sigma), step.witness) for step in trace.steps]
     assert 1 + sum(b <= a for a, b in zip(visits, visits[1:])) >= 3
-    names = {id(kr): rel for rel, kr in trace.result.relations.items()}
-    assert sorted((names[id(kr)], attrs) for kr, attrs in calls) == sorted(
-        {side for s in sigma for side in ((s.lhs_rel, s.lhs_attrs), (s.rhs_rel, s.rhs_attrs))})
+    # each call groups a relation of the result or a marginal made before it
+    owners = {id(kr): rel for rel, kr in trace.result.relations.items()}
+    made = []
+    for source, attrs, result in calls:
+        owners[id(result)] = owners[id(source)]
+        made.append((owners[id(source)], attrs))
+    sides = {side for s in sigma for side in ((s.lhs_rel, s.lhs_attrs), (s.rhs_rel, s.rhs_attrs))}
+    assert sorted(made) == sorted(side for side in sides if side[1] != schema.attributes(side[0]))

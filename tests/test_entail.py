@@ -33,8 +33,8 @@ from kindb.monoid import (
     MAX_NATURALS,
     NATURALS,
     NONNEG_RATIONALS,
+    MonogenicMonoid,
     NaturalsMonoid,
-    monogenic,
 )
 from kindb.oracle import (
     CONSTRUCTION_ENUMERATION,
@@ -43,7 +43,7 @@ from kindb.oracle import (
 )
 from test_acceptance import _fixture_tables
 
-MONO23 = monogenic(2, 3)
+MONO23 = MonogenicMonoid(2, 3)
 
 C1 = parse_ind("Expense[proj,year] <= Budget[proj,year]")
 C2 = parse_ind("Budget[proj] <= Grant[proj]")
@@ -379,7 +379,7 @@ def test_dichotomy_reduces_to_naturals_or_boolean(data):
     sigma = set(data.draw(st.lists(dependencies(schema), max_size=3)))
     tau = data.draw(dependencies(schema))
     m = data.draw(st.one_of(st.sampled_from(FIXED_MONOIDS),
-                            st.builds(monogenic, st.integers(1, 6), st.integers(1, 6))))
+                            st.builds(MonogenicMonoid, st.integers(1, 6), st.integers(1, 6))))
     nonzero = ([v for v in m.elements() if v != m.zero] if m.is_finite
                else WEIGHT_POOLS[m.name])
     pool = data.draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=2, unique=True))
@@ -422,7 +422,7 @@ def test_constant_chain_gives_decide_entailments_countermodel_over_any_schema(da
     sigma = set(data.draw(st.lists(dependencies(schema), max_size=3)))
     tau = data.draw(dependencies(schema))
     m = data.draw(st.one_of(st.sampled_from(WA_MONOIDS),
-                            st.builds(monogenic, st.integers(1, 6), st.integers(1, 6))))
+                            st.builds(MonogenicMonoid, st.integers(1, 6), st.integers(1, 6))))
     verdict = decide_entailment(sigma, tau, m, schema=wide)
     assume(not verdict.entailed)
     chain = [m.nonzero_idempotent()] * (tau.arity + 1)

@@ -26,7 +26,7 @@ from kindb.ind import (
     satisfies_all,
 )
 from kindb.kdb import make_database, schema_of, support
-from kindb.monoid import BOOLEAN, MAX_NATURALS, NATURALS, monogenic, table_from_dict
+from kindb.monoid import BOOLEAN, MAX_NATURALS, NATURALS, MonogenicMonoid, table_from_dict
 
 C1 = "Expense[proj,year] <= Budget[proj,year]"
 C2 = "Budget[proj] <= Grant[proj]"
@@ -114,7 +114,7 @@ def test_satisfaction_preserved_under_support():
               IND("R", ("A", "B"), "S", ("B", "C"))]
     consts = ["a", "b"]
     for m, pool in ((NATURALS, [1, 2, 3]), (BOOLEAN, [1]),
-                    (MAX_NATURALS, [1, 2]), (monogenic(2, 3), [1, 2, 3, 4])):
+                    (MAX_NATURALS, [1, 2]), (MonogenicMonoid(2, 3), [1, 2, 3, 4])):
         for _ in range(30):
             db = make_database(schema, m, {
                 rel: {tuple(rng.choice(consts) for _ in attrs): rng.choice(pool)

@@ -415,3 +415,32 @@ def test_proof_json_gives_a_projections_indices():
     assert proof_to_json(proof) == {
         "rule": "project_permute", "conclusion": "R[B] <= S[D]", "indices": [1],
         "premises": [{"rule": "axiom", "conclusion": "R[A,B] <= S[C,D]"}]}
+
+
+@pytest.mark.parametrize("system,searches", [
+    (RuleSystem.STANDARD_WS, [("R", ())]),
+    (RuleSystem.STANDARD_WS_BALANCE, []),
+], ids=["ws", "balance"])
+def test_weak_symmetry_admission_searches_each_right_relation_once(monkeypatch, system,
+                                                                   searches):
+    """Two assumptions into R are admitted for reversal by one arity-0
+    search from R[], and under balance by none."""
+    sigma = [parse_ind(t) for t in ("S[B] <= R[A]", "T[C] <= R[A]", "R[] <= S[]")]
+    schema = infer_schema(sigma)
+    sources = []
+    search = DerivationGraph.search
+
+    def counted(self, source):
+        sources.append(source)
+        return search(self, source)
+
+    monkeypatch.setattr(DerivationGraph, "search", counted)
+    graph = DerivationGraph(sigma, system, schema)
+    assert sources == searches
+    monkeypatch.undo()
+    if system is RuleSystem.STANDARD_WS:  # R[] reaches S[], not T[]
+        assert graph.members[len(sigma):] == [parse_ind("R[A] <= S[B]")]
+    ok, proof = graph.derives(parse_ind("R[A] <= S[B]"))
+    assert ok and proof.rule == RULE_WEAK_SYMMETRY
+    assert [(p.rule, p.conclusion) for p in proof.premises] == [
+        (RULE_AXIOM, sigma[0]), (RULE_AXIOM, sigma[2])]

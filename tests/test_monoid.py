@@ -29,7 +29,6 @@ from kindb.monoid import (
     MonogenicMonoid,
     TableMonoid,
     embed_naturals,
-    monogenic,
     parse_monoid,
     table_from_dict,
 )
@@ -37,7 +36,7 @@ from kindb.oracle import brute_force_entails
 
 from test_acceptance import _fixture_tables
 
-MONO23 = monogenic(2, 3)
+MONO23 = MonogenicMonoid(2, 3)
 
 ALL_BUILTINS = [BOOLEAN, NATURALS, NONNEG_RATIONALS, MAX_NATURALS, MONO23]
 
@@ -283,7 +282,7 @@ ENTAIL_MIX_TABLES = [
 
 
 def test_classify_matches_reference():
-    cases = [(f"monogenic-{i}-{p}", monogenic(i, p))
+    cases = [(f"monogenic-{i}-{p}", MonogenicMonoid(i, p))
              for i in range(1, 13) for p in range(1, 13)]
     cases += _fixture_tables()
     cases += [(f"entail-mix-{n}", table_from_dict(t)) for n, t in enumerate(ENTAIL_MIX_TABLES)]
@@ -304,7 +303,7 @@ def test_large_monogenic_carrier_is_never_walked(monkeypatch):
         raise AssertionError("the carrier was walked")
 
     monkeypatch.setattr(MonogenicMonoid, "elements", walk)
-    m = monogenic(100000, 100000)
+    m = MonogenicMonoid(100000, 100000)
     r = m.classify()
     assert r.self_absorptive and r.k_absorptive_max == UNBOUNDED
     assert r.natural_order_total and not r.natural_order_antisymmetric
@@ -444,7 +443,7 @@ def test_a_monoid_table_is_an_object(spec):
 
 def test_parse_monoid_passes_a_monoid_through():
     table = TableMonoid(["0", "1"], {("0", "0"): "0", ("0", "1"): "1", ("1", "1"): "1"}, "0")
-    for m in (NATURALS, monogenic(2, 3), table):
+    for m in (NATURALS, MonogenicMonoid(2, 3), table):
         assert parse_monoid(m) is m
 
 
@@ -457,7 +456,7 @@ def test_carrier_and_arithmetic_errors():
             m.monus(1, 2)
     for index, period in ((0, 1), (1, 0)):
         with pytest.raises(InvalidMonoidTable, match="index >= 1 and period >= 1"):
-            monogenic(index, period)
+            MonogenicMonoid(index, period)
     with pytest.raises(ElementError, match="multiplicity"):
         embed_naturals(NATURALS, 1, -1)
     trivial = TableMonoid(["0"], {("0", "0"): "0"}, "0")
