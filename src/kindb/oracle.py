@@ -34,10 +34,23 @@ compared before anything else, so a support of it that a swap of two
 constants makes smaller cannot hold the least counterexample: it is neither
 built nor visited, and the answer is unchanged.  The same swap makes every
 extension of such a support smaller, so only a support whose parent was
-kept is tried, and a kept support's parent has its classes built.  A
-support that leaves out one of the first constants is made smaller by a
-swap with it; any other is tried under the swaps of two constants it uses,
-at most quadratically many.
+kept is tried.  A support that leaves out one of the first constants is
+made smaller by a swap with it; any other is tried under the swaps of two
+constants it uses, at most quadratically many.
+
+The weights form a positive monoid: a sum of nonzero weights is nonzero,
+and a nonzero weight lies below no zero.  So a marginal is nonzero exactly
+at its support's points, and an assumption holds only if each point of its
+left side is a point of its right side.  A support's mask holds its points
+on each position list an assumption reads.  A support whose mask fails an
+assumption on its own relation has no surviving class: it is not weighted,
+and its classes are built only for a longer support that needs them, from
+its longest prefix whose classes are kept.  When a relation is visited, the
+supports chosen before it give the points its support must hold and those
+it must not; a support whose mask misses one of the first or holds one of
+the second is skipped, neither weighted nor paired, and weighted only when
+a visit first fits it.  Supports with one profile have the same points, so
+the same mask, and the first of each profile is still the one visited.
 """
 
 from __future__ import annotations
@@ -100,12 +113,10 @@ def _space_size(row_counts: list[int], pool_size: int, max_tuples: int, cap: int
 
 def _support_classes(rows: tuple, parent: dict, points: tuple, pool_size: int,
                      advance, plus, balanced: bool) -> dict:
-    """Each class of weight assignments of ``rows`` (weight ids 1 to
-    ``pool_size``), keyed by its marginal ids and, when ``balanced``, total,
-    with its least member, in that order.  ``parent`` holds the classes of
-    ``rows[:-1]`` (or of no rows) and ``points`` each row's points."""
-    if not rows:
-        return parent
+    """Each class of weight assignments of the nonempty ``rows`` (weight ids
+    1 to ``pool_size``), keyed by its marginal ids and, when ``balanced``,
+    total, with its least member, in that order.  ``parent`` holds the
+    classes of ``rows[:-1]`` and ``points`` each row's points."""
     out: dict = {}
     # A later member of a parent class gives only later assignments, in the
     # same child classes, so its least member stands for it.
@@ -214,23 +225,59 @@ def brute_force_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, *,
     rows_of = [sorted(itertools.product(constants, repeat=len(schema.relations[rel])))
                for rel in rels]
     support_lists = [_support_choices(rows, max_tuples) for rows in rows_of]
-    # A support's classes depend only on its rows' points, so they are kept
-    # by those (for supports that can still be parents) and built once.
     points = [{row: tuple(tuple(row[p] for p in pos) for pos in used[i]) for row in rows_of[i]}
               for i in depths]
-    start = [{(0,) * (len(used[i]) + balanced): ()} for i in depths]
-    tables: list = [{} for _ in rels]
+    # A support's mask holds its points on each slot an assumption reads:
+    # slot k's from bit k * width, one bit per point.  By positivity an
+    # assumption holds only if its left slot's points are among its right's.
+    asserted = [{c[1] for c in checks if c[4] and c[0] == i}
+                | {c[3] for c in checks if c[4] and c[2] == i} for i in depths]
+    longest = max((len(used[i][k]) for i in depths for k in asserted[i]), default=0)
+    width = max(len(constants), 1) ** longest
+    full = (1 << width) - 1
+    place = {point: n for size in range(longest + 1)
+             for n, point in enumerate(itertools.product(constants, repeat=size))}
+    bits = [{row: sum(1 << k * width + place[pts[k]] for k in asserted[i])
+             for row, pts in points[i].items()} for i in depths]
+    # A support's classes depend only on its rows' points, so they are kept
+    # by those (for supports that can still be parents) and built once.
+    tables = [{(): {(0,) * (len(used[i]) + balanced): ()}} for i in depths]
+    masks: list = [{} for _ in rels]  # by points, for each support listed or ruled out
+    entries: list = [[] for _ in rels]  # [mask, rows, points, survivors once weighted]
     seen: list = [set() for _ in rels]
-    firsts: list = [[] for _ in rels]
     built = [0] * len(rels)
+    chosen = [0] * len(rels)  # the mask of the support visited at each depth
     kept = {()}  # the supports of relation 0 that no swap makes smaller
+
+    def weigh(i: int, rows: tuple, seq: tuple) -> dict:
+        """The classes of the support ``rows`` of relation ``i``, whose
+        points are ``seq``, built on those of its longest prefix kept."""
+        n = len(seq)
+        while seq[:n] not in tables[i]:
+            n -= 1
+        classes = tables[i][seq[:n]]
+        for n in range(n + 1, len(seq) + 1):
+            classes = _support_classes(rows[:n], classes, seq[:n], len(pool), advance, plus,
+                                       balanced)
+            if n < max_tuples:
+                tables[i][seq[:n]] = classes
+        return classes
 
     def profiles(i: int):
         """The surviving classes of the first support of each nonempty
         profile of relation ``i``, in support order, as (key, rows, least
-        member); built on first use and shared by every visit."""
+        member), skipping each support whose points cannot fit those of the
+        supports chosen before it.  Relation ``i``'s supports are listed
+        once, each with its mask unless its points fail its own assumptions,
+        and weighted when first fitted; the list is shared by every visit."""
+        need = forbid = 0
+        for lhs, lpos, rhs, rpos, want in cross[i]:
+            if want and lhs < i:
+                need |= ((chosen[lhs] >> lpos * width) & full) << rpos * width
+            elif want:
+                forbid |= (full & ~(chosen[rhs] >> rpos * width)) << lpos * width
         for k in itertools.count():
-            while k == len(firsts[i]) and built[i] < len(support_lists[i]):
+            while k == len(entries[i]) and built[i] < len(support_lists[i]):
                 rows = support_lists[i][built[i]]
                 built[i] += 1
                 if i == 0:
@@ -239,21 +286,30 @@ def brute_force_entails(sigma: Iterable[IND], tau: IND, m: MonoidSpec, *,
                         continue
                     kept.add(rows)
                 seq = tuple(points[i][row] for row in rows)
-                if seq in tables[i]:
+                if seq in masks[i]:
                     continue
-                classes = _support_classes(rows, tables[i].get(seq[:-1], start[i]), seq,
-                                           len(pool), advance, plus, balanced)
-                tables[i][seq] = classes if len(rows) < max_tuples else None
-                survivors = [(key, rows, least) for key, least in classes.items()
+                mask = masks[i][seq] = (masks[i][seq[:-1]] | bits[i][rows[-1]]) if rows else 0
+                if not any((mask >> lhs * width) & ~(mask >> rhs * width) & full
+                           for _, lhs, _, rhs, want in own[i] if want):
+                    entries[i].append([mask, rows, seq, None])
+            if k == len(entries[i]):
+                return
+            entry = entries[i][k]
+            if entry is None or entry[0] & need != need or entry[0] & forbid:
+                continue
+            if entry[3] is None:
+                _, rows, seq, _ = entry
+                survivors = [(key, rows, least) for key, least in weigh(i, rows, seq).items()
                              if all(holds(key[lhs], key[rhs]) == want
                                     for _, lhs, _, rhs, want in own[i])]
                 profile = tuple(key for key, _, _ in survivors)
-                if survivors and profile not in seen[i]:
-                    seen[i].add(profile)
-                    firsts[i].append(survivors)
-            if k == len(firsts[i]):
-                return
-            yield firsts[i][k]
+                if not survivors or profile in seen[i]:
+                    entries[i][k] = None
+                    continue
+                seen[i].add(profile)
+                entry[3] = survivors
+            chosen[i] = entry[0]
+            yield entry[3]
 
     def extend(frontier: list, classes: list, i: int):
         """Each choice in ``frontier`` (a class per relation before ``i``)

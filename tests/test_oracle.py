@@ -12,7 +12,7 @@ from kindb import oracle
 from kindb.errors import ParseError, SearchSpaceTooLarge
 from kindb.ind import IND, parse_ind, satisfies
 from kindb.kdb import is_balanced, schema_of
-from kindb.monoid import BOOLEAN, NATURALS, NONNEG_RATIONALS
+from kindb.monoid import BOOLEAN, NATURALS, NONNEG_RATIONALS, table_from_dict
 from kindb.oracle import brute_force_balanced_entails, brute_force_entails
 
 SIGMA = {parse_ind("R[A] <= S[B]"), parse_ind("S[] <= R[]")}
@@ -144,8 +144,54 @@ def test_relation_pruned_by_its_own_checks_never_reaches_later_weightings(monkey
     kwargs = dict(adom=["x", "y"], weight_pool=[1, 2], max_tuples=1, schema=schema)
     assert brute_force_entails(*args, **kwargs) is None
     assert reference_search(*args, **kwargs) is None
-    assert len(built) == 3  # the empty support, (x,x) and (x,y): no renaming makes them smaller
+    # No renaming makes the empty support, (x,x) or (x,y) smaller.  The empty
+    # support's one class needs no weighting, and (x,y) fails R[A] <= R[B] on
+    # its points alone (A holds x, B does not), so only (x,x) is weighted.
+    assert built == [(("x", "x"),)]
     assert all(len(row) == 2 for rows in built for row in rows)
+
+
+def test_support_failing_its_own_points_is_weighted_only_as_a_parent(monkeypatch):
+    # R[A] <= R[B] fails on the points of (x,y) and of (x,x),(y,x), so
+    # neither is weighted for itself; (x,y),(y,x) passes, and its classes are
+    # built on those of (x,y), made then from the empty support's.
+    built = []
+    real = oracle._support_classes
+
+    def spy(rows, *rest):
+        built.append(rows)
+        return real(rows, *rest)
+
+    monkeypatch.setattr(oracle, "_support_classes", spy)
+    args = (parse_ind("R[A] <= R[B]"),), parse_ind("R[A,B] <= R[B,A]"), NATURALS
+    kwargs = dict(adom=["x", "y"], weight_pool=[1, 2], max_tuples=2)
+    assert brute_force_entails(*args, **kwargs) is None
+    assert reference_search(*args, **kwargs) is None
+    xx, xy, yx, yy = ("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")
+    assert built == [(xx,), (xx, xy), (xx, yy), (xy,), (xy, yx)]
+
+
+def test_later_support_missing_needed_points_is_never_weighted(monkeypatch):
+    # S[] <= R[] forbids S any point while R is empty, and R[A] <= S[C] needs
+    # S to hold every point of R: S's (y) misses the x of R's (x) and of R's
+    # (x,y), the only other supports a renaming leaves, so it is never
+    # weighted.  The query is entailed, so every choice of R is visited.
+    built = []
+    real = oracle._support_classes
+
+    def spy(rows, *rest):
+        built.append(rows)
+        return real(rows, *rest)
+
+    monkeypatch.setattr(oracle, "_support_classes", spy)
+    args = ((parse_ind("R[A] <= S[C]"), parse_ind("S[] <= R[]")), parse_ind("R[] <= S[]"),
+            NATURALS)
+    kwargs = dict(adom=["x", "y"], weight_pool=[1, 2], max_tuples=2)
+    assert brute_force_entails(*args, **kwargs) is None
+    assert reference_search(*args, **kwargs) is None
+    assert (("y",),) not in built
+    # R's (x), then S's (x) and (x,y) under it, then R's (x,y)
+    assert built == [(("x",),), (("x",),), (("x",), ("y",)), (("x",), ("y",))]
 
 
 def test_first_relation_skips_supports_that_a_swap_makes_smaller(monkeypatch):
@@ -240,6 +286,33 @@ def test_pruned_search_matches_reference_enumerator(data):
         reject()
     expected = reference_search(sigma, tau, m, adom=adom, weight_pool=pool,
                                 max_tuples=max_tuples, schema=schema, balanced=balanced)
+    assert (found.database if found else None) == expected
+
+
+# the join semilattice 0 < p, q < t: its natural order is not total, as that
+# of no monoid in BUILTIN_MONOIDS is
+JOIN = table_from_dict({"elements": ["0", "p", "q", "t"], "zero": "0",
+                        "op": {"0,0": "0", "0,p": "p", "0,q": "q", "0,t": "t", "p,p": "p",
+                               "q,q": "q", "t,t": "t", "p,q": "t", "p,t": "t", "q,t": "t"}})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_over_a_partial_order_matches_reference_enumerator(data):
+    rels = ["R", "S", "T"][:data.draw(st.integers(2, 3))]
+    schema = schema_of({rel: ATTRS[rel][:data.draw(st.integers(0, 2))] for rel in rels})
+    sigma = data.draw(st.lists(dependencies(schema), max_size=3))
+    tau = data.draw(dependencies(schema))
+    pool = data.draw(st.lists(st.sampled_from(["0", "p", "q", "t"]), min_size=1, max_size=3,
+                              unique=True))
+    kwargs = dict(adom=data.draw(st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True)),
+                  weight_pool=pool, max_tuples=data.draw(st.integers(0, 2)), schema=schema,
+                  balanced=data.draw(st.booleans()))
+    try:
+        found = brute_force_entails(sigma, tau, JOIN, max_candidates=5000, **kwargs)
+    except SearchSpaceTooLarge:
+        reject()
+    expected = reference_search(sigma, tau, JOIN, **kwargs)
     assert (found.database if found else None) == expected
 
 
